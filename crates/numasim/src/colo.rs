@@ -29,8 +29,17 @@
 //! [`LoopOutcome::events`] carries its auditable event log (timestamps on
 //! the machine-global clock).
 //!
-//! Determinism: lanes are iterated in index order at every event, so a given
-//! machine seed and call sequence replays exactly.
+//! **Live lanes** — lane ids come from [`add_lane`](ColoMachine::add_lane)
+//! and are never reused (a server opens one per admitted job), but the
+//! machine keeps only the lanes with a loop in flight: a dense set sorted by
+//! lane id, entered by [`start_loop`](ColoMachine::start_loop) and left when
+//! the loop's closing barrier expires. Every per-event scan (acquisition,
+//! occupancy, congestion, rates, next event, advance) therefore touches only
+//! live work, however many lanes were ever handed out.
+//!
+//! Determinism: live lanes are iterated in lane-id order at every event, so
+//! a given machine seed and call sequence replays exactly, and loops whose
+//! barriers expire on the same event complete in lane-id order.
 //!
 //! **Fault injection** — [`set_fault_plan`](ColoMachine::set_fault_plan)
 //! applies an [`ilan_faults::FaultPlan`] to every loop started afterwards,
@@ -49,7 +58,7 @@ use crate::exec::{begin_chunk, make_workers, seek, PoolSet, Worker, WorkerState,
 use crate::outcome::{LoopOutcome, NodeOutcome};
 use crate::params::MachineParams;
 use crate::plan::PlacementPlan;
-use crate::rates::{chunk_duration, CongestionField};
+use crate::rates::CongestionField;
 use crate::task::TaskSpec;
 use ilan_faults::FaultPlan;
 use ilan_topology::{CpuSet, NodeId, Topology};
@@ -98,7 +107,11 @@ pub struct ColoMachine {
     freqs: Vec<f64>,
     rng: StdRng,
     now_ns: f64,
-    lanes: Vec<Option<LaneRun>>,
+    /// Lane ids handed out so far (`0..num_lanes`).
+    num_lanes: usize,
+    /// The in-flight loops, sorted by lane id. Idle lanes have no entry, so
+    /// every per-event scan touches only live work.
+    lanes: Vec<(usize, LaneRun)>,
     field: CongestionField,
     /// Scratch: number of running chunks per core, across all lanes.
     core_load: Vec<usize>,
@@ -129,6 +142,7 @@ impl ColoMachine {
             freqs,
             rng,
             now_ns: 0.0,
+            num_lanes: 0,
             lanes: Vec::new(),
             field: CongestionField::new(num_nodes, num_sockets),
             core_load: vec![0; num_cores],
@@ -184,20 +198,37 @@ impl ColoMachine {
         self.now_ns
     }
 
-    /// Registers a new (idle) lane and returns its id.
+    /// Registers a new (idle) lane and returns its id. Ids are never
+    /// reused; an idle lane costs nothing per event.
     pub fn add_lane(&mut self) -> usize {
-        self.lanes.push(None);
-        self.lanes.len() - 1
+        self.num_lanes += 1;
+        self.num_lanes - 1
+    }
+
+    /// Position of `lane` in the live set (`Err`: insertion point, idle).
+    ///
+    /// # Panics
+    /// Panics if `lane` was never handed out by [`add_lane`](Self::add_lane).
+    fn find_lane(&self, lane: usize) -> Result<usize, usize> {
+        assert!(
+            lane < self.num_lanes,
+            "lane {lane} was never handed out by add_lane ({} lanes exist)",
+            self.num_lanes
+        );
+        self.lanes.binary_search_by_key(&lane, |(id, _)| *id)
     }
 
     /// Whether `lane` currently has a loop in flight.
+    ///
+    /// # Panics
+    /// Panics if `lane` was never handed out by [`add_lane`](Self::add_lane).
     pub fn lane_busy(&self, lane: usize) -> bool {
-        self.lanes[lane].is_some()
+        self.find_lane(lane).is_ok()
     }
 
     /// Whether any lane has a loop in flight.
     pub fn any_busy(&self) -> bool {
-        !self.finished.is_empty() || self.lanes.iter().any(|l| l.is_some())
+        !self.finished.is_empty() || !self.lanes.is_empty()
     }
 
     /// Submits one taskloop invocation on `lane`: `lead_ns` of serial time
@@ -205,8 +236,8 @@ impl ColoMachine {
     /// parallel execution on `active` cores under `plan`.
     ///
     /// # Panics
-    /// Panics if the lane is already busy, the plan does not cover `tasks`,
-    /// or `active` is empty / outside the topology.
+    /// Panics if the lane was never handed out or is already busy, the plan
+    /// does not cover `tasks`, or `active` is empty / outside the topology.
     pub fn start_loop(
         &mut self,
         lane: usize,
@@ -215,10 +246,9 @@ impl ColoMachine {
         tasks: Vec<TaskSpec>,
         lead_ns: f64,
     ) {
-        assert!(
-            self.lanes[lane].is_none(),
-            "lane {lane} already has a loop in flight"
-        );
+        let Err(slot) = self.find_lane(lane) else {
+            panic!("lane {lane} already has a loop in flight");
+        };
         assert!(
             lead_ns >= 0.0 && lead_ns.is_finite(),
             "lead time must be finite and >= 0"
@@ -248,7 +278,7 @@ impl ColoMachine {
                 }
             }
         }
-        self.lanes[lane] = Some(LaneRun {
+        let run = LaneRun {
             tasks,
             pools,
             workers,
@@ -261,7 +291,8 @@ impl ColoMachine {
             migrations: 0,
             rng_state: perm_seed ^ 0xD1B54A32D192ED03,
             recorder,
-        });
+        };
+        self.lanes.insert(slot, (lane, run));
     }
 
     /// Runs until some lane's loop completes, returning `(lane, outcome)`.
@@ -292,7 +323,7 @@ impl ColoMachine {
             if let Some(done) = self.finished.pop_front() {
                 return Some(done);
             }
-            if self.lanes.iter().all(|l| l.is_none()) {
+            if self.lanes.is_empty() {
                 if t_end.is_finite() {
                     self.now_ns = self.now_ns.max(t_end);
                 }
@@ -301,7 +332,7 @@ impl ColoMachine {
 
             // Let every idle worker of every executing lane acquire work
             // (fixed point: batch steals can wake parked peers).
-            for lane in self.lanes.iter_mut().flatten() {
+            for (_, lane) in &mut self.lanes {
                 if !lane.executing() {
                     continue;
                 }
@@ -373,7 +404,7 @@ impl ColoMachine {
             // scheduling action finishing, or a chunk completing — capped by
             // the caller's deadline.
             let mut dt = t_end - self.now_ns;
-            for lane in self.lanes.iter().flatten() {
+            for (_, lane) in &self.lanes {
                 if lane.lead_remaining_ns > 0.0 {
                     dt = dt.min(lane.lead_remaining_ns);
                     continue;
@@ -414,11 +445,12 @@ impl ColoMachine {
         }
     }
 
-    /// Recomputes core occupancy, the shared congestion field, and every
-    /// running chunk's rate across all lanes.
+    /// Recomputes core occupancy and the shared congestion field, then
+    /// re-prices every running chunk across all live lanes. Each chunk's
+    /// own pricing inputs were fixed when it started.
     fn recompute_rates(&mut self) {
         self.core_load.iter_mut().for_each(|c| *c = 0);
-        for lane in self.lanes.iter().flatten() {
+        for (_, lane) in &self.lanes {
             if lane.lead_remaining_ns > 0.0 {
                 continue;
             }
@@ -429,57 +461,27 @@ impl ColoMachine {
             }
         }
 
-        let topo = &self.params.topology;
         self.field.clear();
-        for lane in self.lanes.iter().flatten() {
+        for (_, lane) in &self.lanes {
             for w in &lane.workers {
-                if let WorkerState::Running {
-                    task,
-                    traffic,
-                    desired_bw,
-                    ..
-                } = &w.state
-                {
+                if matches!(w.state, WorkerState::Running { .. }) {
                     let occ = self.core_load[w.core.index()].max(1) as f64;
-                    self.field.add_flow(
-                        topo,
-                        &lane.tasks[*task],
-                        w.node,
-                        traffic,
-                        *desired_bw,
-                        1.0 / occ,
-                    );
+                    self.field.add_flow(&w.pricing, 1.0 / occ);
                 }
             }
         }
         self.field.finalize(&self.params);
 
-        for lane in self.lanes.iter_mut().flatten() {
+        for (_, lane) in &mut self.lanes {
             for w in &mut lane.workers {
-                let wnode = w.node;
-                let core = w.core.index();
-                if let WorkerState::Running {
-                    task,
-                    rate,
-                    traffic,
-                    ..
-                } = &mut w.state
-                {
-                    let spec = &lane.tasks[*task];
-                    let penalty = self.field.penalty(topo, wnode, traffic);
-                    let occ = self.core_load[core].max(1) as f64;
+                if let WorkerState::Running { rate, .. } = &mut w.state {
+                    let penalty = self.field.penalty(&w.pricing.traffic);
+                    let occ = self.core_load[w.core.index()].max(1) as f64;
                     let slowdown = self
                         .faults
                         .as_ref()
-                        .map_or(1.0, |p| p.node_slowdown(wnode as u32));
-                    let duration = chunk_duration(
-                        &self.params,
-                        spec,
-                        NodeId::new(wnode),
-                        self.freqs[core],
-                        penalty,
-                    ) * occ
-                        * slowdown;
+                        .map_or(1.0, |p| p.node_slowdown(w.node as u32));
+                    let duration = w.pricing.duration(penalty) * occ * slowdown;
                     *rate = if duration > 0.0 {
                         1.0 / duration
                     } else {
@@ -490,41 +492,47 @@ impl ColoMachine {
         }
     }
 
-    /// Advances simulated time by `dt`, completing whatever finishes.
+    /// Advances simulated time by `dt`, completing whatever finishes. A
+    /// lane whose barrier expires leaves the live set; completions queue in
+    /// lane-id order.
     fn advance(&mut self, dt: f64) {
         self.now_ns += dt;
         let core_bw = self.params.core_bw;
-        for (id, slot) in self.lanes.iter_mut().enumerate() {
-            let Some(lane) = slot else { continue };
+        let mut i = 0;
+        while i < self.lanes.len() {
+            let (_, lane) = &mut self.lanes[i];
             if lane.lead_remaining_ns > 0.0 {
                 lane.lead_remaining_ns -= dt;
                 if lane.lead_remaining_ns <= EPS {
                     lane.lead_remaining_ns = 0.0;
                 }
+                i += 1;
                 continue;
             }
             if let Some(b) = &mut lane.barrier_remaining_ns {
                 *b -= dt;
-                if *b <= EPS {
-                    let lane = slot.take().expect("lane present");
-                    let num_cores = self.params.topology.num_cores();
-                    let num_nodes = lane.nodes_out.len();
-                    self.finished.push_back((
-                        id,
-                        LoopOutcome {
-                            makespan_ns: self.now_ns - lane.started_ns,
-                            sched_overhead_ns: lane.overhead_ns,
-                            nodes: lane.nodes_out,
-                            migrations: lane.migrations,
-                            threads: lane.workers.len(),
-                            trace: Vec::new(),
-                            events: lane
-                                .recorder
-                                .map(|r| r.into_log(num_cores, num_nodes))
-                                .unwrap_or_default(),
-                        },
-                    ));
+                if *b > EPS {
+                    i += 1;
+                    continue;
                 }
+                let (id, lane) = self.lanes.remove(i);
+                let num_cores = self.params.topology.num_cores();
+                let num_nodes = lane.nodes_out.len();
+                self.finished.push_back((
+                    id,
+                    LoopOutcome {
+                        makespan_ns: self.now_ns - lane.started_ns,
+                        sched_overhead_ns: lane.overhead_ns,
+                        nodes: lane.nodes_out,
+                        migrations: lane.migrations,
+                        threads: lane.workers.len(),
+                        trace: Vec::new(),
+                        events: lane
+                            .recorder
+                            .map(|r| r.into_log(num_cores, num_nodes))
+                            .unwrap_or_default(),
+                    },
+                ));
                 continue;
             }
             for w in &mut lane.workers {
@@ -541,12 +549,14 @@ impl ColoMachine {
                                     EventKind::ChunkStart { chunk: t as u32 },
                                 );
                             }
-                            w.state = begin_chunk(
+                            let freq = self.freqs[w.core.index()];
+                            begin_chunk(
+                                w,
                                 &self.params.topology,
                                 &self.params,
-                                w.node,
                                 t,
                                 &lane.tasks[t],
+                                freq,
                             );
                         }
                     }
@@ -555,7 +565,6 @@ impl ColoMachine {
                         remaining,
                         rate,
                         elapsed_ns,
-                        ..
                     } => {
                         *remaining -= *rate * dt;
                         *elapsed_ns += dt;
@@ -585,6 +594,7 @@ impl ColoMachine {
                     _ => {}
                 }
             }
+            i += 1;
         }
     }
 }
@@ -995,6 +1005,85 @@ mod tests {
         let topo = presets::tiny_2x4();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
         colo.set_fault_plan(plan);
+    }
+
+    #[test]
+    fn lane_ids_stay_valid_after_many_lanes() {
+        let topo = presets::tiny_2x4();
+        let cores0 = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
+        let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
+        let ids: Vec<usize> = (0..300).map(|_| colo.add_lane()).collect();
+        assert_eq!(ids, (0..300).collect::<Vec<_>>());
+        // Idle lanes are valid ids, not live work.
+        assert!(ids.iter().all(|&l| !colo.lane_busy(l)));
+        assert!(!colo.any_busy());
+        for lane in [299, 0, 150] {
+            colo.start_loop(
+                lane,
+                &cores0,
+                &node_plan(8, 0),
+                chunked_tasks(8, 0, 1_000.0, 1_000.0),
+                0.0,
+            );
+            assert!(colo.lane_busy(lane));
+            let (done, out) = colo.run_until_next_completion().unwrap();
+            assert_eq!(done, lane);
+            assert_eq!(out.tasks_executed(), 8);
+        }
+    }
+
+    #[test]
+    fn lane_is_idle_once_its_loop_completes() {
+        let topo = presets::tiny_2x4();
+        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 3);
+        let a = colo.add_lane();
+        colo.start_loop(a, &cores, &split_plan(32, 2), both_home_tasks(32, 2), 0.0);
+        assert!(colo.lane_busy(a));
+        let (done, _) = colo.run_until_next_completion().unwrap();
+        assert_eq!(done, a);
+        assert!(!colo.lane_busy(a));
+        assert!(!colo.any_busy());
+        // The idle lane accepts its next loop.
+        colo.start_loop(a, &cores, &split_plan(32, 2), both_home_tasks(32, 2), 0.0);
+        assert!(colo.lane_busy(a));
+    }
+
+    #[test]
+    fn simultaneous_completions_come_back_in_lane_id_order() {
+        // Mirror-image loops on the two nodes of a noiseless machine finish
+        // on the same event. The higher id starts first, so only the live
+        // set's ordering — not submission order — decides the report order.
+        let topo = presets::tiny_2x4();
+        let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
+        let lanes: Vec<usize> = (0..4).map(|_| colo.add_lane()).collect();
+        for (lane, node) in [(lanes[3], 1), (lanes[1], 0)] {
+            let cores = topo.cpuset_of_mask(NodeMask::single(NodeId::new(node)));
+            colo.start_loop(
+                lane,
+                &cores,
+                &node_plan(16, node),
+                chunked_tasks(16, node, 20_000.0, 100_000.0),
+                0.0,
+            );
+        }
+        let (first, a) = colo.run_until_next_completion().unwrap();
+        let t_first = colo.now_ns();
+        let (second, b) = colo.run_until_next_completion().unwrap();
+        assert_eq!(colo.now_ns(), t_first, "both barriers expire on one event");
+        assert_eq!(a.makespan_ns, b.makespan_ns);
+        assert_eq!((first, second), (lanes[1], lanes[3]));
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 2 was never handed out by add_lane")]
+    fn starting_an_unknown_lane_panics_clearly() {
+        let topo = presets::tiny_2x4();
+        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
+        colo.add_lane();
+        colo.add_lane();
+        colo.start_loop(2, &cores, &split_plan(8, 2), both_home_tasks(8, 2), 0.0);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Between events every running chunk progresses linearly at a rate computed
 //! from the machine state; an event is a chunk completing, a worker finishing
 //! a scheduling action, or the pool state changing. On each event the engine
-//! recomputes all rates (memory-controller and inter-socket-link congestion
-//! are global state), so contention is always consistent with the set of
-//! running chunks.
+//! re-prices every running chunk against the current congestion
+//! (memory-controller and inter-socket-link congestion are global state), so
+//! contention is always consistent with the set of running chunks. A
+//! chunk's own pricing inputs are fixed when it starts.
 //!
 //! The engine is fully deterministic: worker iteration order, victim
 //! selection and tie-breaking are all fixed. Run-to-run variance enters only
@@ -20,7 +21,7 @@ use crate::exec::{begin_chunk, make_workers, seek, PoolSet, Worker, WorkerState,
 use crate::outcome::{LoopOutcome, NodeOutcome, TaskRecord};
 use crate::params::MachineParams;
 use crate::plan::PlacementPlan;
-use crate::rates::{chunk_duration, CongestionField};
+use crate::rates::CongestionField;
 use crate::task::TaskSpec;
 use ilan_topology::{CpuSet, NodeId};
 use ilan_trace::{EventKind, Recorder};
@@ -196,23 +197,17 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Recomputes demands, congestion factors and every running chunk's rate.
+    /// Re-prices every running chunk against the current congestion:
+    /// demands, congestion factors, then rates. Each chunk's own pricing
+    /// inputs were fixed when it started.
     fn recompute_rates(&mut self) {
-        let topo = &self.params.topology;
         self.field.clear();
 
         // Pass 1: aggregate desired bandwidth per memory controller and link,
         // plus the streaming-flow count per controller (row-buffer model).
         for w in &self.workers {
-            if let WorkerState::Running {
-                task,
-                traffic,
-                desired_bw,
-                ..
-            } = &w.state
-            {
-                self.field
-                    .add_flow(topo, &self.tasks[*task], w.node, traffic, *desired_bw, 1.0);
+            if matches!(w.state, WorkerState::Running { .. }) {
+                self.field.add_flow(&w.pricing, 1.0);
             }
         }
 
@@ -221,25 +216,10 @@ impl<'a> Engine<'a> {
 
         // Pass 3: per-chunk rates.
         for w in &mut self.workers {
-            let wnode = w.node;
-            let core = w.core.index();
-            if let WorkerState::Running {
-                task,
-                rate,
-                traffic,
-                ..
-            } = &mut w.state
-            {
-                let spec = &self.tasks[*task];
-                let penalty = self.field.penalty(topo, wnode, traffic);
-                let mut duration = chunk_duration(
-                    self.params,
-                    spec,
-                    NodeId::new(wnode),
-                    self.freqs[core],
-                    penalty,
-                );
-                if Some(wnode) == self.outlier_node {
+            if let WorkerState::Running { rate, .. } = &mut w.state {
+                let penalty = self.field.penalty(&w.pricing.traffic);
+                let mut duration = w.pricing.duration(penalty);
+                if Some(w.node) == self.outlier_node {
                     duration /= self.params.noise.outlier_factor;
                 }
                 *rate = if duration > 0.0 {
@@ -270,12 +250,14 @@ impl<'a> Engine<'a> {
                                 EventKind::ChunkStart { chunk: t as u32 },
                             );
                         }
-                        w.state = begin_chunk(
+                        let freq = self.freqs[w.core.index()];
+                        begin_chunk(
+                            w,
                             &self.params.topology,
                             self.params,
-                            w.node,
                             t,
                             &self.tasks[t],
+                            freq,
                         );
                     }
                 }

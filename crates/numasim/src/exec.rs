@@ -9,7 +9,7 @@
 
 use crate::params::MachineParams;
 use crate::plan::PlacementPlan;
-use crate::rates::{desired_bandwidth, traffic_rows};
+use crate::rates::ChunkPricing;
 use crate::task::TaskSpec;
 use ilan_topology::{CoreId, CpuSet, Topology};
 use ilan_trace::{EventKind, Recorder, DISPATCHER};
@@ -196,10 +196,6 @@ pub(crate) enum WorkerState {
         remaining: f64,
         /// Progress per ns under the current machine state.
         rate: f64,
-        /// Precomputed `(node, traffic_fraction, latency_factor)` rows.
-        traffic: Vec<(usize, f64, f64)>,
-        /// Desired DRAM bandwidth if uncontended, bytes/ns.
-        desired_bw: f64,
         /// Wall time spent on this chunk so far.
         elapsed_ns: f64,
     },
@@ -216,6 +212,9 @@ pub(crate) struct Worker {
     pub(crate) core: CoreId,
     pub(crate) node: usize,
     pub(crate) state: WorkerState,
+    /// The running chunk's fixed pricing inputs (valid while `state` is
+    /// `Running`; the row buffer is reused from chunk to chunk).
+    pub(crate) pricing: ChunkPricing,
     /// Machine time before which an injected stall keeps this worker out of
     /// the acquire loop (0 = healthy). Time still advances past a stalled
     /// worker — it just does not pop or steal until the stall expires.
@@ -239,6 +238,7 @@ pub(crate) fn make_workers(topo: &Topology, active: &CpuSet) -> (Vec<Worker>, Ve
                 core,
                 node: topo.node_of_core(core).index(),
                 state: WorkerState::Idle,
+                pricing: ChunkPricing::default(),
                 stall_until_ns: 0.0,
             }
         })
@@ -401,22 +401,21 @@ pub(crate) fn seek(
     }
 }
 
-/// The Overhead → Running transition: precomputes the chunk's traffic rows
-/// and uncontended bandwidth demand for the node it will execute on.
+/// The Overhead → Running transition: fixes the chunk's pricing inputs for
+/// the worker's node and its core's frequency factor `freq`.
 pub(crate) fn begin_chunk(
+    worker: &mut Worker,
     topo: &Topology,
     params: &MachineParams,
-    exec_node: usize,
     task: usize,
     spec: &TaskSpec,
-) -> WorkerState {
-    let exec = ilan_topology::NodeId::new(exec_node);
-    WorkerState::Running {
+    freq: f64,
+) {
+    worker.pricing.fill(topo, params, spec, worker.node, freq);
+    worker.state = WorkerState::Running {
         task,
         remaining: 1.0,
         rate: 0.0,
-        traffic: traffic_rows(topo, spec, exec),
-        desired_bw: desired_bandwidth(spec, exec, params.core_bw),
         elapsed_ns: 0.0,
-    }
+    };
 }

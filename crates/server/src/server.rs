@@ -82,7 +82,16 @@ impl ServerConfig {
 /// plain-text format so every warm start exercises a save/load round trip.
 #[derive(Default)]
 pub struct PttStore {
-    entries: HashMap<(Workload, usize), String>,
+    entries: HashMap<(Workload, usize), StoredPtt>,
+}
+
+/// One saved PTT: its text, plus the hunger signal parsed from it once at
+/// save time.
+struct StoredPtt {
+    text: String,
+    /// The fewest threads at which any of the PTT's sites settled; `None`
+    /// if the text does not parse or no site has a measured configuration.
+    fewest_settled_threads: Option<usize>,
 }
 
 impl PttStore {
@@ -94,7 +103,20 @@ impl PttStore {
     /// Saves pre-rendered PTT text verbatim — the fault-injection path uses
     /// this to plant corrupted bytes the loader must survive.
     pub fn save_raw(&mut self, workload: Workload, partition_nodes: usize, text: String) {
-        self.entries.insert((workload, partition_nodes), text);
+        // Corrupted entries carry no signal.
+        let fewest_settled_threads = Ptt::load_text(&text).ok().and_then(|ptt| {
+            ptt.site_ids()
+                .into_iter()
+                .filter_map(|site| Some(ptt.site(site)?.fastest()?.threads))
+                .min()
+        });
+        self.entries.insert(
+            (workload, partition_nodes),
+            StoredPtt {
+                text,
+                fewest_settled_threads,
+            },
+        );
     }
 
     /// Loads the stored PTT, if any. Lenient: unparsable text (a corrupted
@@ -103,7 +125,7 @@ impl PttStore {
     pub fn load(&self, workload: Workload, partition_nodes: usize) -> Option<Ptt> {
         self.entries
             .get(&(workload, partition_nodes))
-            .and_then(|text| Ptt::load_text(text).ok())
+            .and_then(|stored| Ptt::load_text(&stored.text).ok())
     }
 
     /// Whether an entry exists for the key, parsable or not. Together with
@@ -116,28 +138,19 @@ impl PttStore {
     /// Whether any stored PTT for `workload` settled below the partition's
     /// core capacity — the PTT-derived bandwidth-hunger signal (an interior
     /// moldability optimum means the loop saturates memory before cores).
+    /// Reads the signal memoized at save time; nothing is parsed here.
     pub fn hungry_hint(&self, workload: Workload, cores_per_node: usize) -> Option<bool> {
         let mut seen = false;
-        for ((w, nodes), text) in &self.entries {
+        for ((w, nodes), stored) in &self.entries {
             if *w != workload {
                 continue;
             }
-            // Corrupted entries carry no signal; skip them.
-            let Ok(ptt) = Ptt::load_text(text) else {
+            let Some(threads) = stored.fewest_settled_threads else {
                 continue;
             };
-            let capacity = nodes * cores_per_node;
-            for site in ptt.site_ids() {
-                let Some(table) = ptt.site(site) else {
-                    continue;
-                };
-                let Some(best) = table.fastest() else {
-                    continue;
-                };
-                seen = true;
-                if best.threads < capacity {
-                    return Some(true);
-                }
+            seen = true;
+            if threads < nodes * cores_per_node {
+                return Some(true);
             }
         }
         seen.then_some(false)
@@ -797,5 +810,114 @@ mod tests {
         let mut store2 = PttStore::default();
         store2.save(Workload::Sp, 2, &full);
         assert_eq!(store2.hungry_hint(Workload::Sp, 4), Some(false));
+    }
+
+    /// The hunger hint as computed before it was memoized: every stored
+    /// text re-parsed on every call. The reference for the memo below.
+    fn reparsed_hungry_hint(
+        store: &PttStore,
+        workload: Workload,
+        cores_per_node: usize,
+    ) -> Option<bool> {
+        let mut seen = false;
+        for ((w, nodes), stored) in &store.entries {
+            if *w != workload {
+                continue;
+            }
+            let Ok(ptt) = Ptt::load_text(&stored.text) else {
+                continue;
+            };
+            for site in ptt.site_ids() {
+                let Some(best) = ptt.site(site).and_then(|t| t.fastest()) else {
+                    continue;
+                };
+                seen = true;
+                if best.threads < nodes * cores_per_node {
+                    return Some(true);
+                }
+            }
+        }
+        seen.then_some(false)
+    }
+
+    /// One store write, as drawn by proptest: a key, a recorded history
+    /// `(site, threads, time)`, and how the text reaches the store.
+    #[derive(Clone, Debug)]
+    struct Write {
+        workload: usize,
+        nodes: usize,
+        recs: Vec<(u64, usize, f64)>,
+        /// 0: `save`; 1: `save_raw` of the rendered text; 2: `save_raw` of
+        /// the fault layer's corruption of it.
+        how: u8,
+        seed: u64,
+    }
+
+    fn write_strategy() -> impl proptest::strategy::Strategy<Value = Write> {
+        use proptest::prelude::*;
+        (
+            0usize..3,
+            1usize..=4,
+            proptest::collection::vec((0u64..4, 1usize..=40, 1.0f64..1e6), 0..12),
+            0u8..3,
+            any::<u64>(),
+        )
+            .prop_map(|(workload, nodes, recs, how, seed)| Write {
+                workload,
+                nodes,
+                recs,
+                how,
+                seed,
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Across random save/save_raw sequences — corrupted text, empty
+        /// tables, repeated writes to one key — the memoized hint equals
+        /// the re-parsing reference after every write.
+        #[test]
+        fn memoized_hungry_hint_matches_reparsing(
+            writes in proptest::collection::vec(write_strategy(), 1..24),
+        ) {
+            use ilan_faults::{FaultConfig, FaultPlan};
+            const WORKLOADS: [Workload; 3] = [Workload::Cg, Workload::Sp, Workload::Matmul];
+            let mut store = PttStore::default();
+            for w in &writes {
+                let mut ptt = Ptt::new();
+                for &(site, threads, time_ns) in &w.recs {
+                    ptt.record(
+                        ilan::SiteId::new(site),
+                        threads,
+                        ilan_topology::NodeMask::first_n(1),
+                        ilan::StealPolicy::Strict,
+                        &ilan::TaskloopReport::synthetic(time_ns, threads),
+                    );
+                }
+                let workload = WORKLOADS[w.workload];
+                match w.how {
+                    0 => store.save(workload, w.nodes, &ptt),
+                    1 => store.save_raw(workload, w.nodes, ptt.save_text()),
+                    _ => {
+                        let plan = FaultPlan::new(
+                            w.seed,
+                            8,
+                            2,
+                            FaultConfig { ptt_corruption_denom: 1, ..FaultConfig::none() },
+                        );
+                        store.save_raw(workload, w.nodes, plan.corrupt_text(&ptt.save_text()));
+                    }
+                }
+                for workload in WORKLOADS {
+                    for cores_per_node in [1, 2, 4, 8, 16] {
+                        proptest::prop_assert_eq!(
+                            store.hungry_hint(workload, cores_per_node),
+                            reparsed_hungry_hint(&store, workload, cores_per_node),
+                        );
+                    }
+                }
+            }
+        }
     }
 }
