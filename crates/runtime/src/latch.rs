@@ -1,10 +1,12 @@
 //! A counting completion latch.
 //!
-//! The caller of a taskloop blocks on the latch until every chunk has been
-//! executed. Workers decrement; the final decrement wakes the waiter. Uses a
-//! bounded-backoff spin phase before parking, since taskloop tails are
-//! usually short. The latch is resettable so one instance can serve every
-//! invocation of a pool's lifetime (the dispatch arena owns exactly one).
+//! The caller of a taskloop, once its own share of the chunks is done,
+//! blocks on the latch until every other team member has finished. Each
+//! member — the caller included — decrements once; the final decrement
+//! wakes the waiter. Uses a bounded-backoff spin phase before parking,
+//! since taskloop tails are usually short. The latch is resettable so one
+//! instance can serve every invocation of a pool's lifetime (the dispatch
+//! arena owns exactly one).
 
 use crate::sleep::Backoff;
 use parking_lot::{Condvar, Mutex};

@@ -33,7 +33,7 @@ pub const TAIL_MIN_SAMPLES: u64 = 32;
 /// | `dispatch_ns` | histogram | arena fill + wakeup posting latency |
 /// | `loop_ns` | histogram | dispatched-invocation makespan (drives the tail tracker) |
 /// | `wakeups` | counter (`mode`) | sleep-slot posts by wake mode |
-/// | `park_ns` | histogram | worker sleep duration per invocation |
+/// | `park_ns` | histogram | worker sleep duration per invocation (none for the dispatcher, which never parks) |
 /// | `acquisitions` | counter (`kind`) | chunk acquisitions: `local_pop` / `intra_steal` / `inter_steal` |
 /// | `steal_attempts`, `steal_hits` | counter (`scope`=`local`/`remote`) | probe traffic split by NUMA scope |
 /// | `degraded` | counter (`stage`) | watchdog escalations |

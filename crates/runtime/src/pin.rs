@@ -30,6 +30,24 @@ pub fn pin_current_thread(core: CoreId) -> bool {
     pin_impl(core)
 }
 
+thread_local! {
+    /// The core this thread last bound itself to as a taskloop's caller.
+    static CALLER_CORE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Binds the calling thread to `core` for its share of a taskloop, like an
+/// OpenMP primary thread bound to its place. The binding is kept after the
+/// loop, so back-to-back loops from the same slot pay no system call; a
+/// failed attempt is remembered too and not retried for the same core.
+pub(crate) fn bind_caller(core: CoreId) {
+    CALLER_CORE.with(|bound| {
+        if bound.get() != Some(core.index()) {
+            pin_impl(core);
+            bound.set(Some(core.index()));
+        }
+    });
+}
+
 #[cfg(target_os = "linux")]
 fn pin_impl(core: CoreId) -> bool {
     // SAFETY: cpu_set_t is a plain bitmask struct; CPU_* are the glibc

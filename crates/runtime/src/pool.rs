@@ -16,6 +16,24 @@
 //! possible under [`WakeMode::Broadcast`]) goes straight back to sleep
 //! without ever dereferencing the arena.
 //!
+//! # The caller works
+//!
+//! As in OpenMP, the thread that reaches a taskloop is the primary thread of
+//! the team it launches. The dispatcher holds the slot of the primary core
+//! of the placement mask's first node (worker 0 under [`ExecMode::Flat`]
+//! and [`ExecMode::WorkSharing`]), posts wakeups to the other N−1 members
+//! only, and then runs the same `work` loop as a worker — its static slice,
+//! or pops and steals as the policy allows — out of a private deque the
+//! pool keeps for it. The slot's own worker thread sits out the invocation,
+//! so the slot's trace ring keeps a single producer. The dispatcher is
+//! accounted on its slot's node (its chunks count as local there), and
+//! where the slot's worker is pinned it binds itself to the slot's core,
+//! as an OpenMP primary thread is bound to its place; the binding outlives
+//! the loop, so only a change of slot costs a system call. A decision that
+//! resolves to one worker on one node is sequential: like OpenMP's
+//! `num_threads(1)`, it runs inline on the calling thread with no wakeup at
+//! all.
+//!
 //! Synchronisation protocol (the safety story for the `UnsafeCell` arena):
 //!
 //! 1. the dispatcher, holding the dispatch lock, mutates [`RunData`] while no
@@ -24,7 +42,9 @@
 //!    [`SleepSlot::post`] publishes every arena write to the workers' acquire
 //!    loads in [`SleepSlot::wait`];
 //! 3. a participating worker reads the arena only between receiving its
-//!    token and decrementing the exit latch;
+//!    token and decrementing the exit latch; the dispatcher, working its own
+//!    slot, holds `&RunData` from publication until its own latch
+//!    decrement, and keeps it while it waits for the others;
 //! 4. the dispatcher blocks on the exit latch before touching the arena
 //!    again (the latch decrement/`wait` pair is the closing AcqRel edge, so
 //!    workers may flush their statistics with relaxed stores).
@@ -32,8 +52,9 @@
 use crate::chunk::{ChunkAssignment, Grain};
 use crate::latch::CountLatch;
 use crate::metrics::PoolMetrics;
-use crate::pin::{pin_current_thread, PinMode};
+use crate::pin::{bind_caller, pin_current_thread, PinMode};
 use crate::report::{LoopReport, NodeReport};
+use crate::sleep::sys::AtomicU64 as ClaimWord;
 use crate::sleep::{Backoff, SleepSlot};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker as Deque};
 use crossbeam_utils::CachePadded;
@@ -101,10 +122,11 @@ pub enum WakeMode {
     Broadcast,
 }
 
-/// Loops of at most this many iterations (or resolving to a single chunk)
-/// run inline on the calling thread by default: below this size the fixed
-/// dispatch cost — wakeups, queue traffic, the implicit barrier — dwarfs any
-/// parallel speedup. Tune per pool with [`PoolConfig::inline_threshold`].
+/// Loops of at most this many iterations (or resolving to a single chunk,
+/// or to a team of one worker on one node) run inline on the calling thread
+/// by default: below this size the fixed dispatch cost — wakeups, queue
+/// traffic, the implicit barrier — dwarfs any parallel speedup. Tune per
+/// pool with [`PoolConfig::inline_threshold`].
 pub const DEFAULT_INLINE_THRESHOLD: usize = 32;
 
 /// Watchdog deadline armed automatically when a fault plan is installed
@@ -128,6 +150,21 @@ fn claim_word(epoch: u64, state: u64) -> u64 {
     (epoch << 2) | state
 }
 
+/// Claims a slot's participation for `epoch` on behalf of `who`
+/// (`CLAIM_WORKER` for the slot's worker thread or the dispatcher working
+/// the slot, `CLAIM_DISPATCHER` for a stage-2 drain). At most one claimant
+/// per epoch wins; the winner owns the slot's latch decrement.
+#[inline]
+fn claim(word: &ClaimWord, epoch: u64, who: u64) -> bool {
+    word.compare_exchange(
+        claim_word(epoch, CLAIM_OPEN),
+        claim_word(epoch, who),
+        Ordering::AcqRel,
+        Ordering::Acquire,
+    )
+    .is_ok()
+}
+
 /// Pool construction parameters.
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
@@ -139,7 +176,7 @@ pub struct PoolConfig {
     pub wake: WakeMode,
     /// Loops with at most this many iterations execute inline on the caller
     /// (see [`DEFAULT_INLINE_THRESHOLD`]). Set to 0 to dispatch everything
-    /// except single-chunk loops.
+    /// except single-chunk loops and teams of one.
     pub inline_threshold: usize,
     /// Watchdog deadline per invocation: when the exit latch has not
     /// released and no chunk has completed for this long, the dispatcher
@@ -354,6 +391,9 @@ struct RunData {
     /// Per-worker contiguous chunk-index slices (work-sharing mode only).
     static_slices: Vec<Range<usize>>,
     threads: usize,
+    /// The slot the dispatcher works this invocation; `None` when a fault
+    /// planned on that slot leaves it to its worker thread.
+    caller: Option<usize>,
     /// Per-worker event rings; `None` outside traced invocations.
     trace: Option<TraceSet>,
     /// Rings kept from the previous traced invocation, reused when large
@@ -401,6 +441,12 @@ struct Shared {
     /// through the shared injectors only, so NUMA-strict chunks never leave
     /// their node once they reach a private deque.
     stealers: Vec<Stealer<usize>>,
+    /// Stealer onto the dispatcher's private deque, which stands in for
+    /// the deque of the slot it works (see [`Shared::stealer`]).
+    caller_stealer: Stealer<usize>,
+    /// Per node, the other nodes nearest-first: the remote-steal sweep
+    /// order, computed once so an idle sweep allocates nothing.
+    remote_order: Vec<Vec<NodeId>>,
     queues: QueueSet,
     /// The dispatch arena (see module docs for the access protocol).
     run: UnsafeCell<RunData>,
@@ -421,7 +467,7 @@ struct Shared {
     progress: CachePadded<AtomicU64>,
     /// Per-worker participation claims, `claim_word(epoch, state)` (see the
     /// CLAIM_* constants). Only meaningful while the watchdog is armed.
-    claims: Vec<AtomicU64>,
+    claims: Vec<ClaimWord>,
     /// The instrument panel; `None` only when `PoolConfig::metrics(false)`.
     metrics: Option<PoolMetrics>,
     /// Whether untraced dispatched invocations keep the trace rings filled
@@ -431,10 +477,24 @@ struct Shared {
 
 // SAFETY: the `UnsafeCell<RunData>` is governed by the epoch/latch protocol
 // documented at module level — the dispatcher only takes `&mut` while no
-// worker holds `&` (before posting tokens / after the exit latch releases),
-// and workers only take `&` inside their participation window. Every other
-// field is inherently Sync.
+// other thread holds `&` (before posting tokens / after the exit latch
+// releases), and workers only take `&` inside their participation window.
+// Every other field is inherently Sync.
 unsafe impl Sync for Shared {}
+
+impl Shared {
+    /// The stealer onto slot `v`'s private deque: the dispatcher's own while
+    /// it works that slot (the slot's worker thread, sitting out, holds
+    /// nothing).
+    #[inline]
+    fn stealer(&self, run: &RunData, v: usize) -> &Stealer<usize> {
+        if run.caller == Some(v) {
+            &self.caller_stealer
+        } else {
+            &self.stealers[v]
+        }
+    }
+}
 
 /// A pool of worker threads, one per topology core.
 ///
@@ -446,8 +506,12 @@ unsafe impl Sync for Shared {}
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    dispatch_lock: Mutex<()>,
-    pinned_workers: usize,
+    /// Serializes invocations and holds the dispatcher's private deque,
+    /// which it works out of as its slot's member of the team.
+    dispatch_lock: Mutex<Deque<usize>>,
+    /// Per core, whether its worker thread was pinned to it; the caller
+    /// binds itself to its slot's core only where the worker could be.
+    pinned: Vec<bool>,
     wake: WakeMode,
     inline_threshold: usize,
 }
@@ -461,12 +525,22 @@ impl ThreadPool {
         // thread, the Stealer ends are shared.
         let mut deques: Vec<Deque<usize>> = (0..cores).map(|_| Deque::new_fifo()).collect();
         let stealers: Vec<Stealer<usize>> = deques.iter().map(|d| d.stealer()).collect();
+        let caller_deque: Deque<usize> = Deque::new_fifo();
         let shared = Arc::new(Shared {
             topology: config.topology.clone(),
             shutdown: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
             slots: (0..cores).map(|_| SleepSlot::new()).collect(),
             stealers,
+            caller_stealer: caller_deque.stealer(),
+            remote_order: (0..num_nodes)
+                .map(|n| {
+                    config
+                        .topology
+                        .distances()
+                        .neighbors_by_distance(NodeId::new(n))
+                })
+                .collect(),
             queues: QueueSet::new(num_nodes),
             run: UnsafeCell::new(RunData {
                 body: BodyPtr::noop(),
@@ -475,6 +549,7 @@ impl ThreadPool {
                 active: Vec::new(),
                 static_slices: Vec::new(),
                 threads: 0,
+                caller: None,
                 trace: None,
                 trace_cache: None,
                 t0: Instant::now(),
@@ -494,7 +569,7 @@ impl ThreadPool {
                 .or_else(|| config.faults.is_some().then_some(DEFAULT_WATCHDOG)),
             faults: config.faults.clone(),
             progress: CachePadded::new(AtomicU64::new(0)),
-            claims: (0..cores).map(|_| AtomicU64::new(0)).collect(),
+            claims: (0..cores).map(|_| ClaimWord::new(0)).collect(),
             metrics: config.metrics.then(|| PoolMetrics::new(cores)),
             flight: config.metrics && config.flight,
         });
@@ -527,28 +602,26 @@ impl ThreadPool {
         }
         ready.wait();
 
-        let pinned = pin_results
+        let pinned: Vec<bool> = pin_results
             .iter()
-            .filter(|r| r.load(Ordering::Acquire))
-            .count();
-        if config.pin == PinMode::Require && pinned < cores {
-            let core = pin_results
-                .iter()
-                .position(|r| !r.load(Ordering::Acquire))
-                .unwrap_or(0);
-            // Tear the pool down before reporting failure.
-            shutdown_workers(&shared);
-            for h in handles {
-                let _ = h.join();
+            .map(|r| r.load(Ordering::Acquire))
+            .collect();
+        if config.pin == PinMode::Require {
+            if let Some(core) = pinned.iter().position(|&ok| !ok) {
+                // Tear the pool down before reporting failure.
+                shutdown_workers(&shared);
+                for h in handles {
+                    let _ = h.join();
+                }
+                return Err(PoolError::PinFailed { core });
             }
-            return Err(PoolError::PinFailed { core });
         }
 
         Ok(ThreadPool {
             shared,
             handles,
-            dispatch_lock: Mutex::new(()),
-            pinned_workers: pinned,
+            dispatch_lock: Mutex::new(caller_deque),
+            pinned,
             wake: config.wake,
             inline_threshold: config.inline_threshold,
         })
@@ -561,7 +634,7 @@ impl ThreadPool {
 
     /// Number of workers successfully pinned to their cores.
     pub fn pinned_workers(&self) -> usize {
-        self.pinned_workers
+        self.pinned.iter().filter(|&&ok| ok).count()
     }
 
     /// Total worker count (== topology cores).
@@ -710,10 +783,10 @@ impl ThreadPool {
         }
 
         // Sequential inline fast path: a loop too small to amortize a
-        // dispatch — or one that is a single chunk and therefore sequential
-        // anyway — runs on the calling thread with no wakeups, no queue
-        // traffic and no trace-ring writes.
-        if !traced && (len <= self.inline_threshold || num_chunks <= 1) {
+        // dispatch — or one that is sequential anyway, being a single chunk
+        // or a team of one — runs on the calling thread with no wakeups, no
+        // queue traffic and no trace-ring writes.
+        if !traced && (len <= self.inline_threshold || num_chunks <= 1 || self.team_of_one(&mode)) {
             self.run_inline(range, grainsize, num_chunks, &mode, body, report);
             if let Some(m) = &self.shared.metrics {
                 m.loops_inline.inc();
@@ -721,7 +794,7 @@ impl ThreadPool {
             return None;
         }
 
-        let _dispatch_guard = self.dispatch_lock.lock();
+        let caller_deque = self.dispatch_lock.lock();
         let dispatch_start = Instant::now();
         let shared = &*self.shared;
         let topo = &shared.topology;
@@ -731,10 +804,9 @@ impl ThreadPool {
         // assignment defines a migration, per the paper); on the blocked
         // first-touch layout over all nodes otherwise, so locality
         // statistics are comparable across modes.
-        let assignment = match &mode {
-            ExecMode::Hierarchical { mask, .. } => ChunkAssignment::new(*mask, num_chunks.max(1)),
-            _ => ChunkAssignment::new(topo.all_nodes(), num_chunks.max(1)),
-        };
+        let home_mask = placement_mask(topo, &mode);
+        let assignment = ChunkAssignment::new(home_mask, num_chunks.max(1));
+        let epoch = shared.epoch.fetch_add(1, Ordering::Relaxed) + 1;
 
         {
             // SAFETY: dispatch lock held, and every worker of the previous
@@ -834,12 +906,7 @@ impl ThreadPool {
                     // Distribute threads over the mask's nodes, lowest cores
                     // first within each node.
                     let k = mask.count();
-                    let max_threads = k * topo.cores_per_node();
-                    let want = if *threads == 0 {
-                        max_threads
-                    } else {
-                        (*threads).min(max_threads)
-                    };
+                    let want = hier_threads(topo, *mask, *threads);
                     for (rank, node) in mask.iter().enumerate() {
                         let per = want / k + usize::from(rank < want % k);
                         for core in topo.cores_of_node(node).take(per) {
@@ -876,6 +943,18 @@ impl ThreadPool {
             };
 
             rd.threads = rd.active.iter().filter(|&&a| a).count();
+            // The dispatcher works the slot of the placement's primary core,
+            // which every mode activates — unless this epoch's plan stalls
+            // that slot or drops its wakeup: the slot then stays with its
+            // worker thread, so each fault hits the thread it was planned for.
+            let slot = topo
+                .primary_core(home_mask.first().expect("validated non-empty"))
+                .index();
+            debug_assert!(rd.active[slot], "the caller's slot must be active");
+            let faulted = shared.faults.as_ref().is_some_and(|p| {
+                p.stall_of(slot as u32).is_some() || p.drops_wakeup(epoch, slot as u32)
+            });
+            rd.caller = (!faulted).then_some(slot);
             // SAFETY: lifetime extension only; validity argued on BodyPtr.
             rd.body = BodyPtr(unsafe {
                 std::mem::transmute::<
@@ -897,7 +976,6 @@ impl ThreadPool {
         // SAFETY: the `&mut` above has ended; workers also only take `&`.
         let rd = unsafe { &*shared.run.get() };
         let start = Instant::now();
-        let epoch = shared.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let run_token = (epoch << 1) | 1;
         let idle_token = epoch << 1;
         if shared.watchdog.is_some() {
@@ -960,7 +1038,7 @@ impl ThreadPool {
         };
         let mut wakeup_posts: u64 = 0;
         for (i, &a) in rd.active.iter().enumerate() {
-            if a {
+            if a && rd.caller != Some(i) {
                 if drops_wakeup(i) {
                     faults_this_run += 1;
                     let node = topo.node_of_core(ilan_topology::CoreId::new(i));
@@ -982,6 +1060,17 @@ impl ThreadPool {
             }
         }
         let dispatch_ns = dispatch_start.elapsed().as_nanos() as u64;
+        // The dispatcher's share, through the same claim a worker makes: a
+        // stage-1 re-post that wakes the slot's thread then finds the slot
+        // taken and stays out.
+        if let Some(slot) = rd.caller {
+            if self.pinned[slot] {
+                bind_caller(ilan_topology::CoreId::new(slot));
+            }
+            if shared.watchdog.is_none() || claim(&shared.claims[slot], epoch, CLAIM_WORKER) {
+                participate(shared, slot, &caller_deque, None);
+            }
+        }
         let degraded_stage = match shared.watchdog {
             None => {
                 shared.exit_latch.wait();
@@ -1113,32 +1202,57 @@ impl ThreadPool {
         report.nodes.clear();
         report.nodes.resize(topo.num_nodes(), NodeReport::default());
 
-        let assignment = match mode {
-            ExecMode::Hierarchical { mask, .. } => ChunkAssignment::new(*mask, num_chunks.max(1)),
-            _ => ChunkAssignment::new(topo.all_nodes(), num_chunks.max(1)),
-        };
+        let mask = placement_mask(topo, mode);
+        let assignment = ChunkAssignment::new(mask, num_chunks);
 
         let start = Instant::now();
         let mut lo = range.start;
-        let mut i = 0usize;
-        while lo < range.end {
+        for i in 0..num_chunks {
             let hi = (lo + grainsize).min(range.end);
-            let home = assignment.node_of_chunk(i);
             let body_start = Instant::now();
             body(lo..hi);
-            let elapsed = body_start.elapsed();
-            let n = &mut report.nodes[home.index()];
+            let n = &mut report.nodes[assignment.node_of_chunk(i).index()];
             n.tasks += 1;
             n.local_tasks += 1;
-            n.busy += elapsed;
+            n.busy += body_start.elapsed();
             lo = hi;
-            i += 1;
         }
         report.makespan = start.elapsed();
         report.sched_overhead = Duration::ZERO;
         report.migrations = 0;
         report.threads = 1;
         report.degraded = false;
+    }
+
+    /// Whether `mode` resolves to one worker on one node: a team of one,
+    /// which runs sequentially on the caller like OpenMP's `num_threads(1)`.
+    fn team_of_one(&self, mode: &ExecMode) -> bool {
+        match mode {
+            ExecMode::Hierarchical { mask, threads, .. } => {
+                mask.count() == 1 && hier_threads(self.topology(), *mask, *threads) == 1
+            }
+            ExecMode::Flat | ExecMode::WorkSharing => self.num_workers() == 1,
+        }
+    }
+}
+
+/// The nodes an invocation's chunks are assigned to: the mask in
+/// hierarchical mode, every node otherwise.
+fn placement_mask(topo: &Topology, mode: &ExecMode) -> NodeMask {
+    match mode {
+        ExecMode::Hierarchical { mask, .. } => *mask,
+        ExecMode::Flat | ExecMode::WorkSharing => topo.all_nodes(),
+    }
+}
+
+/// Threads a hierarchical decision activates: `threads` clamped to the
+/// mask's cores, 0 meaning all of them.
+fn hier_threads(topo: &Topology, mask: NodeMask, threads: usize) -> usize {
+    let max = mask.count() * topo.cores_per_node();
+    if threads == 0 {
+        max
+    } else {
+        threads.min(max)
     }
 }
 
@@ -1240,15 +1354,7 @@ fn guarded_wait(
     // decrement, so the count stays exact either way.
     let mut claimed: Vec<usize> = Vec::new();
     for (i, &a) in rd.active.iter().enumerate() {
-        if a && shared.claims[i]
-            .compare_exchange(
-                claim_word(epoch, CLAIM_OPEN),
-                claim_word(epoch, CLAIM_DISPATCHER),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-        {
+        if a && claim(&shared.claims[i], epoch, CLAIM_DISPATCHER) {
             claimed.push(i);
         }
     }
@@ -1285,6 +1391,9 @@ fn drain_on_dispatcher(shared: &Shared, rd: &RunData, claimed: &[usize]) {
         }
         return;
     }
+    // A deque of its own, out of every peer's reach: the dispatcher's working
+    // deque is stealable as its slot's, and a drained chunk taken from there
+    // by a peer of another node would leave its strict queue's node.
     let deque: Deque<usize> = Deque::new_fifo();
     loop {
         let next = deque.pop().or_else(|| {
@@ -1415,35 +1524,39 @@ fn worker_main(shared: &Shared, index: usize, deque: &Deque<usize>) {
                 std::thread::sleep(Duration::from_nanos(spec.delay_ns));
             }
         }
-        if shared.watchdog.is_some() {
-            // Claim participation for this epoch. Losing the race means the
-            // dispatcher already drained for us (we woke too late) — or the
-            // claim word was re-tagged for a newer epoch entirely, in which
-            // case the arena may be mid-rewrite and must not be read.
-            let open = claim_word(epoch, CLAIM_OPEN);
-            let mine = claim_word(epoch, CLAIM_WORKER);
-            if shared.claims[index]
-                .compare_exchange(open, mine, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
+        // Claim participation for this epoch. Losing the race means the
+        // dispatcher holds the slot (it is working it, or drained for us
+        // because we woke too late) — or the claim word was re-tagged for a
+        // newer epoch entirely, in which case the arena may be mid-rewrite
+        // and must not be read.
+        if shared.watchdog.is_some() && !claim(&shared.claims[index], epoch, CLAIM_WORKER) {
+            continue;
         }
-        {
-            // SAFETY: the participate bit proves the dispatcher posted this
-            // epoch for us after completing its arena writes (release via the
-            // slot epoch store); the dispatcher takes no `&mut` until we pass
-            // the exit-latch decrement below.
-            let run = unsafe { &*shared.run.get() };
-            let done_at = work(shared, run, index, deque, park_ns);
-            let node = shared
-                .topology
-                .node_of_core(ilan_topology::CoreId::new(index));
-            run.emit_at(index, node, done_at, EventKind::LatchRelease);
-        }
-        shared.exit_latch.count_down();
-        debug_assert!(deque.pop().is_none(), "worker left chunks in its deque");
+        participate(shared, index, deque, Some(park_ns));
     }
+}
+
+/// One team member's share of an invocation: the `work` loop over slot
+/// `index`, then its latch release. Run by the slot's worker thread, or by
+/// the dispatcher when it works the slot — under an armed watchdog, only by
+/// whichever of them won the slot's claim. `park_ns` is `None` for the
+/// dispatcher, which never parked.
+fn participate(shared: &Shared, index: usize, deque: &Deque<usize>, park_ns: Option<u64>) {
+    {
+        // SAFETY: the arena is published to this member — by the slot's
+        // epoch token for a worker (release via the slot epoch store), by
+        // program order for the dispatcher, which wrote it — and the
+        // dispatcher takes no `&mut` until every member has passed the
+        // exit-latch decrement below.
+        let run = unsafe { &*shared.run.get() };
+        let done_at = work(shared, run, index, deque, park_ns);
+        let node = shared
+            .topology
+            .node_of_core(ilan_topology::CoreId::new(index));
+        run.emit_at(index, node, done_at, EventKind::LatchRelease);
+    }
+    shared.exit_latch.count_down();
+    debug_assert!(deque.pop().is_none(), "worker left chunks in its deque");
 }
 
 /// Statistics a worker accumulates privately during one invocation and
@@ -1456,7 +1569,8 @@ struct WorkerTally {
     busy_ns: u64,
     migrations: usize,
     overhead_ns: u64,
-    park_ns: u64,
+    /// Sleep before this invocation; `None` for the dispatcher.
+    park_ns: Option<u64>,
     local_pops: u64,
     intra_steals: u64,
     inter_steals: u64,
@@ -1496,7 +1610,9 @@ impl WorkerTally {
             .overhead_ns
             .fetch_add(self.overhead_ns, Ordering::Relaxed);
         if let Some(m) = &shared.metrics {
-            m.park_ns.record(self.park_ns);
+            if let Some(ns) = self.park_ns {
+                m.park_ns.record(ns);
+            }
             // Zero tallies stay unflushed: on the common no-steal invocation
             // this is one RMW (the local pops), not seven.
             let add = |c: &ShardedCounter, n: u64| {
@@ -1593,7 +1709,7 @@ fn work(
     run: &RunData,
     index: usize,
     deque: &Deque<usize>,
-    park_ns: u64,
+    park_ns: Option<u64>,
 ) -> Instant {
     let topo = &shared.topology;
     let my_core = ilan_topology::CoreId::new(index);
@@ -1717,7 +1833,7 @@ fn acquire(
                 } else {
                     tally.attempts_local += 1;
                 }
-                if let Some(i) = peer_steal_until(&shared.stealers[v], deque) {
+                if let Some(i) = peer_steal_until(shared.stealer(run, v), deque) {
                     if remote {
                         tally.hits_remote += 1;
                     } else {
@@ -1744,7 +1860,7 @@ fn acquire(
             for peer in topo.cores_of_node(my_node) {
                 if peer.index() != index {
                     tally.attempts_local += 1;
-                    if let Some(i) = peer_steal_until(&shared.stealers[peer.index()], deque) {
+                    if let Some(i) = peer_steal_until(shared.stealer(run, peer.index()), deque) {
                         tally.hits_local += 1;
                         return Some((i, Some(peer.index())));
                     }
@@ -1771,7 +1887,7 @@ fn acquire(
                 // Own node fully idle: visit other nodes' *shared injectors*
                 // nearest-first. Never their private deques — those may hold
                 // NUMA-strict chunks.
-                for victim in topo.distances().neighbors_by_distance(my_node) {
+                for victim in &shared.remote_order[my_node.index()] {
                     tally.attempts_remote += 1;
                     if let Some(i) = batch_steal_until(&shared.queues.shared[victim.index()], deque)
                     {
@@ -1811,6 +1927,79 @@ fn peer_steal_until(victim: &Stealer<usize>, deque: &Deque<usize>) -> Option<usi
             Steal::Empty => return None,
             Steal::Retry => backoff.snooze(),
         }
+    }
+}
+
+/// Exhaustive models of the slot claim under an armed watchdog.
+///
+/// Run with `RUSTFLAGS="--cfg loom" cargo test -p ilan-runtime --lib
+/// loom_model`. The claimants call the production [`claim`] on a loom
+/// atomic. The exit latch is modelled as an `AtomicUsize` (the vendored
+/// loom has no mutex): its count-down is the same `fetch_sub` as
+/// [`CountLatch::count_down`], and the decrement that takes it from 1 to 0
+/// is the release.
+#[cfg(all(loom, test))]
+mod loom_model {
+    use super::*;
+    use loom::sync::atomic::AtomicUsize;
+    use loom::sync::Arc;
+
+    const EPOCH: u64 = 7;
+
+    /// One claimant: on winning, owns the slot's latch decrement. Returns
+    /// whether it won and whether its decrement released the latch.
+    fn party(word: &ClaimWord, latch: &AtomicUsize, epoch: u64, who: u64) -> (bool, bool) {
+        if !claim(word, epoch, who) {
+            return (false, false);
+        }
+        (true, latch.fetch_sub(1, Ordering::AcqRel) == 1)
+    }
+
+    #[test]
+    fn exactly_one_party_owns_the_callers_slot() {
+        loom::model(|| {
+            // A team of one member — the dispatcher's slot — so the latch
+            // counts that slot alone.
+            let word = Arc::new(ClaimWord::new(claim_word(EPOCH, CLAIM_OPEN)));
+            let latch = Arc::new(AtomicUsize::new(1));
+            let spawn = |who: u64| {
+                let (word, latch) = (Arc::clone(&word), Arc::clone(&latch));
+                loom::thread::spawn(move || party(&word, &latch, EPOCH, who))
+            };
+            // The slot's worker woken by a stage-1 re-post, and the stage-2
+            // drain, racing the dispatcher's own claim.
+            let reposted = spawn(CLAIM_WORKER);
+            let drain = spawn(CLAIM_DISPATCHER);
+            let caller = party(&word, &latch, EPOCH, CLAIM_WORKER);
+            let outcomes = [caller, reposted.join().unwrap(), drain.join().unwrap()];
+            assert_eq!(outcomes.iter().filter(|o| o.0).count(), 1, "slot owners");
+            assert_eq!(outcomes.iter().filter(|o| o.1).count(), 1, "latch releases");
+            assert_eq!(latch.load(Ordering::Acquire), 0);
+            let owner = word.load(Ordering::Acquire);
+            assert!(
+                owner == claim_word(EPOCH, CLAIM_WORKER)
+                    || owner == claim_word(EPOCH, CLAIM_DISPATCHER)
+            );
+        });
+    }
+
+    #[test]
+    fn a_late_waker_never_claims_a_newer_epoch() {
+        loom::model(|| {
+            // The previous epoch's slot was drained for its sleeping worker;
+            // the dispatcher re-opens the word for the next epoch and works
+            // the slot while that worker finally wakes with its old token.
+            let word = Arc::new(ClaimWord::new(claim_word(EPOCH - 1, CLAIM_DISPATCHER)));
+            let latch = Arc::new(AtomicUsize::new(1));
+            let late = {
+                let (word, latch) = (Arc::clone(&word), Arc::clone(&latch));
+                loom::thread::spawn(move || party(&word, &latch, EPOCH - 1, CLAIM_WORKER))
+            };
+            word.store(claim_word(EPOCH, CLAIM_OPEN), Ordering::Relaxed);
+            let caller = party(&word, &latch, EPOCH, CLAIM_WORKER);
+            assert_eq!(late.join().unwrap(), (false, false));
+            assert_eq!(caller, (true, true));
+        });
     }
 }
 
@@ -2184,6 +2373,221 @@ mod tests {
         assert_eq!(audit.chunks, 8);
     }
 
+    /// Targeted wakeups posted so far.
+    fn wakeups(p: &ThreadPool) -> u64 {
+        p.metrics().unwrap().wakeups_targeted.get()
+    }
+
+    #[test]
+    fn caller_takes_a_slot_so_a_team_of_n_posts_n_minus_one_wakeups() {
+        let p = pool(presets::tiny_2x4());
+        for threads in [2usize, 3, 5, 8] {
+            let mode = ExecMode::Hierarchical {
+                mask: p.topology().all_nodes(),
+                threads,
+                strict_fraction: 1.0,
+                policy: StealPolicy::Strict,
+            };
+            let before = wakeups(&p);
+            let report = p.taskloop(0..400, 4, mode, |_| {});
+            assert_eq!(report.threads, threads);
+            assert_eq!(
+                wakeups(&p) - before,
+                threads as u64 - 1,
+                "{threads} threads"
+            );
+        }
+        for mode in [ExecMode::Flat, ExecMode::WorkSharing] {
+            let before = wakeups(&p);
+            let report = p.taskloop(0..400, 4, mode.clone(), |_| {});
+            assert_eq!(report.tasks_executed(), 100);
+            assert_eq!(wakeups(&p) - before, 7, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn team_of_one_runs_sequentially_on_the_caller() {
+        let caller = std::thread::current().id();
+        let one_core_of_one_node = ExecMode::Hierarchical {
+            mask: NodeMask::first_n(1),
+            threads: 1,
+            strict_fraction: 0.5,
+            policy: StealPolicy::Full,
+        };
+        let one_worker_pool = pool(presets::smp(1));
+        let cases = [
+            (pool(presets::tiny_2x4()), one_core_of_one_node),
+            (one_worker_pool, ExecMode::Flat),
+        ];
+        for (p, mode) in cases {
+            let m = p.metrics().unwrap();
+            let (inline, posts) = (m.loops_inline.get(), wakeups(&p));
+            let off_thread = AtomicBool::new(false);
+            let count = AtomicUsize::new(0);
+            // Far past the inline threshold, many chunks: only the team
+            // size makes this loop sequential.
+            let report = p.taskloop(0..4096, 4, mode.clone(), |r| {
+                if std::thread::current().id() != caller {
+                    off_thread.store(true, Ordering::Relaxed);
+                }
+                count.fetch_add(r.len(), Ordering::Relaxed);
+            });
+            assert_eq!(count.load(Ordering::Relaxed), 4096);
+            assert!(
+                !off_thread.load(Ordering::Relaxed),
+                "{mode:?} left the caller"
+            );
+            assert_eq!(report.threads, 1);
+            assert_eq!(report.tasks_executed(), 1024);
+            assert_eq!(report.migrations, 0);
+            assert_eq!(m.loops_inline.get(), inline + 1, "{mode:?} did not inline");
+            assert_eq!(m.loops_dispatched.get(), 0);
+            assert_eq!(wakeups(&p), posts, "{mode:?} posted a wakeup");
+        }
+    }
+
+    /// The CPUs the calling thread may run on, as the kernel lists them
+    /// ("0", "0-1", ...).
+    #[cfg(target_os = "linux")]
+    fn affinity() -> String {
+        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+            .expect("Linux reports Cpus_allowed_list")
+            .trim()
+            .to_string()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn caller_binds_to_its_slots_core_where_the_worker_is_pinned() {
+        // A thread of its own, so the binding cannot leak into other tests.
+        std::thread::spawn(|| {
+            let start = affinity();
+            pool(presets::smp(2)).taskloop(0..400, 4, ExecMode::Flat, |_| {});
+            assert_eq!(affinity(), start, "unpinned workers: caller left alone");
+
+            let topo = ilan_topology::parse_spec("2x1x1").unwrap();
+            let p = ThreadPool::new(PoolConfig::new(topo)).unwrap();
+            let second_node = ExecMode::Hierarchical {
+                mask: NodeMask::single(NodeId::new(1)),
+                threads: 1,
+                strict_fraction: 1.0,
+                policy: StealPolicy::Strict,
+            };
+            let mut expected = start;
+            // Flat works slot 0; a (traced, so dispatched) team of one on
+            // node 1 works slot 1; back to slot 0.
+            for (mode, slot) in [(ExecMode::Flat, 0), (second_node, 1), (ExecMode::Flat, 0)] {
+                let (report, _) = p.taskloop_traced(0..400, 4, mode.clone(), |_| {});
+                assert_eq!(report.tasks_executed(), 100);
+                if p.pinned[slot] {
+                    expected = slot.to_string();
+                }
+                assert_eq!(affinity(), expected, "{mode:?}");
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn a_one_worker_decision_on_two_nodes_is_not_a_team_of_one() {
+        // One thread, but chunks placed on two nodes: the caller runs them
+        // all through the dispatch path, migrating node 1's tail.
+        let p = pool(presets::tiny_2x4());
+        let mode = ExecMode::Hierarchical {
+            mask: p.topology().all_nodes(),
+            threads: 1,
+            strict_fraction: 0.0,
+            policy: StealPolicy::Full,
+        };
+        let before = wakeups(&p);
+        let report = p.taskloop(0..400, 4, mode, |_| {});
+        assert_eq!(report.threads, 1);
+        assert_eq!(report.tasks_executed(), 100);
+        assert_eq!(report.migrations, 50);
+        assert_eq!(p.metrics().unwrap().loops_dispatched.get(), 1);
+        assert_eq!(wakeups(&p), before);
+    }
+
+    /// Checks that the caller's chunks are exactly the ones on `slot`'s
+    /// ring and that the ring ends with its latch release.
+    fn assert_caller_owns_ring(log: &EventLog, slot: u32, caller_chunks: &[usize]) {
+        let ring: Vec<&ilan_trace::Event> = log.iter().filter(|e| e.worker == slot).collect();
+        let mut started: Vec<usize> = ring
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ChunkStart { chunk } => Some(chunk as usize),
+                _ => None,
+            })
+            .collect();
+        let ended = ring
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::ChunkEnd { .. }))
+            .count();
+        started.sort_unstable();
+        assert_eq!(
+            started, caller_chunks,
+            "slot {slot}'s ring vs the caller's chunks"
+        );
+        assert_eq!(ended, started.len());
+        let last = ring
+            .iter()
+            .max_by_key(|e| e.seq)
+            .expect("slot ring is empty");
+        assert_eq!(last.kind, EventKind::LatchRelease);
+    }
+
+    #[test]
+    fn traced_caller_events_land_on_its_slot_ring() {
+        let p = pool(presets::tiny_2x4());
+        let caller = std::thread::current().id();
+        let one = ExecMode::Hierarchical {
+            mask: NodeMask::first_n(1),
+            threads: 1,
+            strict_fraction: 1.0,
+            policy: StealPolicy::Strict,
+        };
+        let second_node = ExecMode::Hierarchical {
+            mask: NodeMask::single(NodeId::new(1)),
+            threads: 2,
+            strict_fraction: 1.0,
+            policy: StealPolicy::Strict,
+        };
+        // (mode, the caller's slot, team size)
+        for (mode, slot, threads) in [
+            (one, 0u32, 1usize),
+            (ExecMode::WorkSharing, 0, 8),
+            (second_node, 4, 2),
+        ] {
+            let before = wakeups(&p);
+            let mine: Vec<AtomicBool> = (0..100).map(|_| AtomicBool::new(false)).collect();
+            let (report, log) = p.taskloop_traced(0..400, 4, mode.clone(), |r| {
+                if std::thread::current().id() == caller {
+                    mine[r.start / 4].store(true, Ordering::Relaxed);
+                }
+            });
+            assert_eq!(report.threads, threads);
+            assert_eq!(wakeups(&p) - before, threads as u64 - 1, "{mode:?}");
+            let audit = ilan_trace::audit(&log, &expect_from(&report));
+            assert!(audit.ok(), "{mode:?}: audit violations: {audit}");
+            assert_eq!(audit.chunks, 100);
+            let caller_chunks: Vec<usize> = (0..100)
+                .filter(|&c| mine[c].load(Ordering::Relaxed))
+                .collect();
+            if threads == 1 {
+                assert_eq!(caller_chunks.len(), 100, "a team of one runs every chunk");
+            }
+            if let ExecMode::WorkSharing = mode {
+                // Worker 0's static slice is the caller's.
+                assert_eq!(caller_chunks, (0..12).collect::<Vec<_>>());
+            }
+            assert_caller_owns_ring(&log, slot, &caller_chunks);
+        }
+    }
+
     #[test]
     fn broadcast_wake_mode_is_equivalent() {
         let p = ThreadPool::new(
@@ -2301,6 +2705,41 @@ mod tests {
             assert!(report.degraded, "a permanent stall must degrade the run");
             let audit = ilan_trace::audit(&log, &expect_from(&report));
             assert!(audit.ok(), "audit violations: {audit}");
+        }
+    }
+
+    #[test]
+    fn permanently_stalled_caller_slot_degrades_but_completes() {
+        // Worker 0's slot is the caller's under Flat; a permanent stall
+        // planned there leaves the slot to its (stalled) worker thread, so
+        // the watchdog must rescue it exactly as for any other worker.
+        let topo = presets::tiny_2x4();
+        let plan = permanent_stall_plan(&topo, 0);
+        let p = ThreadPool::new(
+            PoolConfig::new(topo)
+                .pin(PinMode::Never)
+                .watchdog(Duration::from_millis(10))
+                .faults(plan),
+        )
+        .unwrap();
+        for _ in 0..3 {
+            let flags: Vec<AtomicUsize> = (0..500).map(|_| AtomicUsize::new(0)).collect();
+            let (report, log) = p.taskloop_traced(0..500, 5, ExecMode::Flat, |r| {
+                for i in r {
+                    flags[i].fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
+            assert_eq!(report.tasks_executed(), 100);
+            assert!(report.degraded, "a permanent stall must degrade the run");
+            let audit = ilan_trace::audit(&log, &expect_from(&report));
+            assert!(audit.ok(), "audit violations: {audit}");
+            assert_eq!(audit.claimed_workers, 1);
+            assert!(
+                !log.iter()
+                    .any(|e| e.worker == 0 && matches!(e.kind, EventKind::ChunkStart { .. })),
+                "the stalled slot must not run chunks"
+            );
         }
     }
 

@@ -9,7 +9,8 @@
 //! Counting is thread-scoped (const-initialised TLS, so the counter itself
 //! never allocates): worker threads may allocate freely without tripping the
 //! assertion, but the dispatch path runs on this test's thread and must stay
-//! clean.
+//! clean — including the chunks this thread executes as the primary thread
+//! of each team (its pops, batch steals and remote sweeps).
 
 use ilan_runtime::{ExecMode, Grain, LoopReport, PinMode, PoolConfig, StealPolicy, ThreadPool};
 use ilan_topology::presets;
@@ -84,6 +85,14 @@ fn warm_taskloop_dispatch_path_does_not_allocate() {
         ExecMode::Hierarchical {
             mask,
             threads: 0,
+            strict_fraction: 0.5,
+            policy: StealPolicy::Full,
+        },
+        // One worker per node: the dispatcher works node 0's share itself,
+        // stealing across nodes once its own queues run dry.
+        ExecMode::Hierarchical {
+            mask,
+            threads: 2,
             strict_fraction: 0.5,
             policy: StealPolicy::Full,
         },
