@@ -1,8 +1,9 @@
 //! Macro-benchmark of the co-scheduling service (real wall time): how fast
 //! `ilan-server` serves a job stream under each sharing policy. Guards the
-//! colocation engine's event loop — every event re-prices the running
-//! chunks of all live lanes against one shared congestion field, so
-//! per-event costs compound faster than in the single-loop engine.
+//! simulator's event loop with many lanes live — every event re-prices the
+//! running chunks of all live lanes against one shared congestion field and
+//! counts core occupancy, so per-event costs compound faster than for a
+//! single application's one lane.
 //!
 //! Two cases: a 6-job stream on the tiny machine, and a 200-job stream on
 //! the paper's 64-core EPYC. The server opens one lane per admitted job, so

@@ -411,8 +411,8 @@ pub fn trace_artifact(
     seed: u64,
     out: Option<&Path>,
 ) -> String {
-    use ilan::driver::{active_cores, build_plan};
-    use ilan::{Decision, IlanParams, IlanScheduler, Policy, SiteId, TaskloopReport};
+    use ilan::driver::sim_placement;
+    use ilan::{IlanParams, IlanScheduler, Policy, SiteId, TaskloopReport};
     use ilan_numasim::trace::{audit, AuditExpect, EventLog, NodeTally};
     use ilan_numasim::{MachineParams, SimMachine};
 
@@ -429,15 +429,8 @@ pub fn trace_artifact(
             let site = SiteId::new(site_idx as u64);
             let tasks = &app.sites[site_idx].tasks;
             let decision = sched.decide(site);
-            let cores = match &decision {
-                Decision::Flat | Decision::WorkSharing => {
-                    topology.cpuset_of_mask(topology.all_nodes())
-                }
-                Decision::Hierarchical { mask, threads, .. } => {
-                    active_cores(topology, *mask, *threads)
-                }
-            };
-            let plan = build_plan(&decision, tasks.len());
+            let (cores, plan) =
+                sim_placement(topology, &decision, topology.all_nodes(), tasks.len());
             let outcome = machine.run_taskloop_traced(&cores, &plan, tasks);
             let expect = AuditExpect {
                 migrations: Some(outcome.migrations),

@@ -82,6 +82,24 @@ pub fn build_plan(decision: &Decision, num_tasks: usize) -> PlacementPlan {
     }
 }
 
+/// The simulator placement realizing `decision` over `num_tasks` chunks:
+/// its active cores and its plan. A flat or work-sharing decision runs on
+/// every core of `span` (the whole machine for a single application, the
+/// tenant's partition on a shared one); a hierarchical decision carries its
+/// own mask and thread count.
+pub fn sim_placement(
+    topology: &Topology,
+    decision: &Decision,
+    span: NodeMask,
+    num_tasks: usize,
+) -> (CpuSet, PlacementPlan) {
+    let cores = match decision {
+        Decision::Flat | Decision::WorkSharing => topology.cpuset_of_mask(span),
+        Decision::Hierarchical { mask, threads, .. } => active_cores(topology, *mask, *threads),
+    };
+    (cores, build_plan(decision, num_tasks))
+}
+
 /// One decide → simulate → record round on the simulated machine.
 ///
 /// Returns the decision taken and the normalized report (after the policy
@@ -94,11 +112,7 @@ pub fn run_sim_invocation(
 ) -> (Decision, TaskloopReport) {
     let decision = policy.decide(site);
     let topo = machine.topology();
-    let cores = match &decision {
-        Decision::Flat | Decision::WorkSharing => topo.cpuset_of_mask(topo.all_nodes()),
-        Decision::Hierarchical { mask, threads, .. } => active_cores(topo, *mask, *threads),
-    };
-    let plan = build_plan(&decision, tasks.len());
+    let (cores, plan) = sim_placement(topo, &decision, topo.all_nodes(), tasks.len());
     let outcome = machine.run_taskloop(&cores, &plan, tasks);
     let mut report = TaskloopReport::from(&outcome);
     let decision_cost = policy.decision_overhead_ns();
@@ -230,6 +244,27 @@ mod tests {
             }
             other => panic!("wrong plan {other:?}"),
         }
+    }
+
+    #[test]
+    fn sim_placement_spans_only_flat_decisions() {
+        let t = presets::epyc_9354_2s();
+        let span = NodeMask::first_n(2);
+        for d in [Decision::Flat, Decision::WorkSharing] {
+            let (cores, plan) = sim_placement(&t, &d, span, 100);
+            assert_eq!(cores, t.cpuset_of_mask(span));
+            plan.validate(100);
+        }
+        // A hierarchical decision brings its own mask and thread count.
+        let d = Decision::Hierarchical {
+            threads: 12,
+            mask: NodeMask::first_n(4),
+            steal: StealPolicy::Strict,
+            strict_fraction: 1.0,
+        };
+        let (cores, plan) = sim_placement(&t, &d, span, 100);
+        assert_eq!(cores, active_cores(&t, NodeMask::first_n(4), 12));
+        plan.validate(100);
     }
 
     #[test]

@@ -1,33 +1,44 @@
-//! Multi-tenant colocation: several concurrent taskloops on one machine.
+//! The fluid-rate machine: one or more concurrent taskloops on one machine.
 //!
-//! [`SimMachine`](crate::SimMachine) executes one taskloop at a time — the
-//! paper's single-application model. [`ColoMachine`] extends the same
-//! fluid-rate simulation to several *lanes* (tenants) whose loops run
-//! concurrently. All lanes share one [`CongestionField`]: the per-node
-//! memory controllers, the inter-socket links and the row-buffer stream
-//! budget are priced across every running chunk on the machine, regardless
-//! of which lane issued it. That shared field *is* the interference channel
-//! a co-scheduler must manage.
+//! [`ColoMachine`] is the crate's event loop. Between events every running
+//! chunk progresses linearly at a rate computed from the machine state; an
+//! event is a chunk completing, a worker finishing a scheduling action, a
+//! serial lead or closing barrier expiring, or an injected stall ending. On
+//! each event the machine re-prices every running chunk against the current
+//! congestion (memory-controller and inter-socket-link congestion are global
+//! state), so contention is always consistent with the set of running
+//! chunks. A chunk's own pricing inputs are fixed when it starts.
 //!
-//! Two additional mechanisms model sharing policies:
+//! Loops run on *lanes* (tenants), at most one loop per lane at a time, and
+//! loops of different lanes run concurrently. All lanes share one
+//! [`CongestionField`]: the per-node memory controllers, the inter-socket
+//! links and the row-buffer stream budget are priced across every running
+//! chunk on the machine, regardless of which lane issued it. That shared
+//! field *is* the interference channel a co-scheduler must manage.
+//! [`SimMachine`](crate::SimMachine) — the paper's single-application model
+//! — is a machine with one lane.
+//!
+//! Three mechanisms shape a loop's execution beyond the cost model:
 //!
 //! * **Oversubscription** — when two lanes activate the same core, its
 //!   running chunks timeshare it: each progresses at `1/occupancy` of its
 //!   rate and issues `1/occupancy` of its DRAM traffic (a round-robin OS
-//!   scheduler in the fluid limit). Disjoint partitions have occupancy 1
-//!   and behave exactly like the single-loop engine.
+//!   scheduler in the fluid limit). Scheduling actions (pops/steals) are not
+//!   slowed, only chunk execution is. Disjoint partitions have occupancy 1,
+//!   and a single live lane skips the occupancy count altogether.
 //! * **Lead time** — each loop may start with a serial lead (scheduler
 //!   decision cost plus any serial section of the tenant's program) during
 //!   which its workers are not yet active.
+//! * **Outlier windows** — a [`SimMachine`](crate::SimMachine) invocation
+//!   may draw one node that runs every chunk at the noise model's
+//!   [`outlier_factor`](crate::NoiseParams::outlier_factor) of its speed for
+//!   the whole loop. Per-core frequency jitter applies to every lane; it is
+//!   drawn once per machine.
 //!
-//! Simplifications relative to [`SimMachine`]: no outlier windows (per-core
-//! frequency jitter still applies — it is drawn once per machine), no
-//! per-chunk [`TaskRecord`](crate::TaskRecord) tracing, and scheduling
-//! actions (pops/steals) are not slowed by oversubscription — only chunk
-//! execution is. Scheduler *event* tracing is available: after
-//! [`set_tracing`](ColoMachine::set_tracing), every completed loop's
-//! [`LoopOutcome::events`] carries its auditable event log (timestamps on
-//! the machine-global clock).
+//! **Tracing** — after [`set_tracing`](ColoMachine::set_tracing), every
+//! completed loop's [`LoopOutcome::events`] carries its auditable scheduler
+//! event log and [`LoopOutcome::trace`] its per-chunk
+//! [`TaskRecord`]s, timestamped on the machine clock.
 //!
 //! **Live lanes** — lane ids come from [`add_lane`](ColoMachine::add_lane)
 //! and are never reused (a server opens one per admitted job), but the
@@ -37,9 +48,10 @@
 //! occupancy, congestion, rates, next event, advance) therefore touches only
 //! live work, however many lanes were ever handed out.
 //!
-//! Determinism: live lanes are iterated in lane-id order at every event, so
-//! a given machine seed and call sequence replays exactly, and loops whose
-//! barriers expire on the same event complete in lane-id order.
+//! Determinism: worker iteration order, victim selection and tie-breaking
+//! are fixed, and live lanes are iterated in lane-id order at every event,
+//! so a given machine seed and call sequence replays exactly, and loops
+//! whose barriers expire on the same event complete in lane-id order.
 //!
 //! **Fault injection** — [`set_fault_plan`](ColoMachine::set_fault_plan)
 //! applies an [`ilan_faults::FaultPlan`] to every loop started afterwards,
@@ -52,16 +64,16 @@
 //! [`FaultConfig::sim_safe`](ilan_faults::FaultConfig::sim_safe) to draw
 //! plans restricted to the shared classes — the differential oracle runs the
 //! native pool and this machine under the *same* plan and compares
-//! placements.
+//! placements. Without a plan, no event tests for stalls or slow nodes.
 
 use crate::exec::{begin_chunk, make_workers, seek, PoolSet, Worker, WorkerState, EPS};
-use crate::outcome::{LoopOutcome, NodeOutcome};
+use crate::outcome::{LoopOutcome, NodeOutcome, TaskRecord};
 use crate::params::MachineParams;
 use crate::plan::PlacementPlan;
 use crate::rates::CongestionField;
 use crate::task::TaskSpec;
 use ilan_faults::FaultPlan;
-use ilan_topology::{CpuSet, NodeId, Topology};
+use ilan_topology::{CoreId, CpuSet, NodeId, Topology};
 use ilan_trace::{EventKind, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,14 +96,47 @@ struct LaneRun {
     nodes_out: Vec<NodeOutcome>,
     migrations: usize,
     rng_state: u64,
+    /// Node slowed by an outlier window for the whole loop, if any.
+    outlier_node: Option<usize>,
     /// Scheduler event recorder (present only when the machine traces).
     recorder: Option<Recorder>,
+    /// Per-chunk execution records (present only when the machine traces).
+    records: Option<Vec<TaskRecord>>,
 }
 
 impl LaneRun {
     /// Whether the lane is past its lead and still has chunks in flight.
     fn executing(&self) -> bool {
         self.lead_remaining_ns <= 0.0 && self.barrier_remaining_ns.is_none()
+    }
+
+    /// Every worker has parked at `now`, so the work phase is over: closes
+    /// the idle tails and enters the closing barrier.
+    fn enter_barrier(&mut self, now: f64, params: &MachineParams) {
+        assert!(
+            self.pools.is_empty(),
+            "deadlock: tasks remain but every worker is parked"
+        );
+        for w in &self.workers {
+            if let WorkerState::Parked { since } = w.state {
+                self.overhead_ns += now - since;
+            }
+        }
+        // Each worker releases the exit latch at barrier entry.
+        if let Some(recorder) = &mut self.recorder {
+            for w in &self.workers {
+                recorder.push(
+                    w.core.index() as u32,
+                    w.node as u32,
+                    now as u64,
+                    EventKind::LatchRelease,
+                );
+            }
+        }
+        let threads = self.workers.len();
+        let barrier = params.barrier_base_ns * (threads.max(2) as f64).log2();
+        self.overhead_ns += barrier;
+        self.barrier_remaining_ns = Some(barrier);
     }
 }
 
@@ -116,7 +161,7 @@ pub struct ColoMachine {
     /// Scratch: number of running chunks per core, across all lanes.
     core_load: Vec<usize>,
     finished: VecDeque<(usize, LoopOutcome)>,
-    /// Whether loops started from now on record scheduler events.
+    /// Whether loops started from now on are traced.
     tracing: bool,
     /// Fault plan applied to loops started from now on.
     faults: Option<FaultPlan>,
@@ -152,13 +197,13 @@ impl ColoMachine {
         }
     }
 
-    /// Enables (or disables) scheduler event tracing for loops started from
-    /// now on; completed traced loops report their log in
-    /// [`LoopOutcome::events`]. Loops already in flight are unaffected.
+    /// Enables (or disables) tracing for loops started from now on: a
+    /// completed traced loop reports its scheduler event log in
+    /// [`LoopOutcome::events`] and its per-chunk records in
+    /// [`LoopOutcome::trace`]. Loops already in flight are unaffected.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
     }
-
     /// Applies `plan` to the machine: temporary worker stalls (by
     /// lane-worker index, anchored at each subsequently started loop's
     /// execution start) and slow-node multipliers (machine-level — a slow
@@ -279,6 +324,7 @@ impl ColoMachine {
             }
         }
         let run = LaneRun {
+            records: self.tracing.then(|| Vec::with_capacity(tasks.len())),
             tasks,
             pools,
             workers,
@@ -290,9 +336,48 @@ impl ColoMachine {
             nodes_out: vec![NodeOutcome::default(); topo.num_nodes()],
             migrations: 0,
             rng_state: perm_seed ^ 0xD1B54A32D192ED03,
+            outlier_node: None,
             recorder,
         };
         self.lanes.insert(slot, (lane, run));
+    }
+
+    /// Runs one loop alone on an idle machine, as
+    /// [`SimMachine`](crate::SimMachine) invokes it: the invocation's
+    /// outlier window is drawn before the loop's permutation seed, the
+    /// clock restarts at zero, and the loop runs on `lane` with no lead.
+    ///
+    /// # Panics
+    /// Panics if a loop is in flight, or on any [`start_loop`](Self::start_loop)
+    /// precondition.
+    pub(crate) fn run_alone(
+        &mut self,
+        lane: usize,
+        active: &CpuSet,
+        plan: &PlacementPlan,
+        tasks: &[TaskSpec],
+        traced: bool,
+    ) -> LoopOutcome {
+        assert!(!self.any_busy(), "run_alone needs an idle machine");
+        let outlier = self
+            .params
+            .noise
+            .draw_outlier(&mut self.rng, self.params.topology.num_nodes());
+        self.now_ns = 0.0;
+        self.tracing = traced;
+        self.start_loop(lane, active, plan, tasks.to_vec(), 0.0);
+        // The machine was idle, so the new loop is the only live one.
+        self.lanes[0].1.outlier_node = outlier;
+        let (_, outcome) = self
+            .run_until_next_completion()
+            .expect("a started loop completes");
+        outcome
+    }
+
+    /// The per-core frequency factors drawn for this machine (1.0 =
+    /// nominal).
+    pub(crate) fn core_freqs(&self) -> &[f64] {
+        &self.freqs
     }
 
     /// Runs until some lane's loop completes, returning `(lane, outcome)`.
@@ -330,109 +415,19 @@ impl ColoMachine {
                 return None;
             }
 
-            // Let every idle worker of every executing lane acquire work
-            // (fixed point: batch steals can wake parked peers).
-            for (_, lane) in &mut self.lanes {
-                if !lane.executing() {
-                    continue;
-                }
-                loop {
-                    let mut any = false;
-                    for i in 0..lane.workers.len() {
-                        if lane.workers[i].stall_until_ns > self.now_ns + EPS {
-                            // Stalled: sits out of the acquire loop; the
-                            // event scan below bounds dt by the expiry.
-                            continue;
-                        }
-                        if matches!(lane.workers[i].state, WorkerState::Idle) {
-                            seek(
-                                &mut lane.pools,
-                                &mut lane.workers,
-                                i,
-                                self.now_ns,
-                                &self.params,
-                                &lane.node_worker_count,
-                                &mut lane.rng_state,
-                                &mut lane.overhead_ns,
-                                &mut lane.migrations,
-                                lane.recorder.as_mut(),
-                            );
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        break;
-                    }
-                }
-                // Every worker parked ⇒ the lane's work phase is over: close
-                // the idle tails and enter the barrier.
-                if lane
-                    .workers
-                    .iter()
-                    .all(|w| matches!(w.state, WorkerState::Parked { .. }))
-                {
-                    assert!(
-                        lane.pools.is_empty(),
-                        "deadlock: tasks remain but every worker is parked"
-                    );
-                    for w in &lane.workers {
-                        if let WorkerState::Parked { since } = w.state {
-                            lane.overhead_ns += self.now_ns - since;
-                        }
-                    }
-                    // Each worker releases the exit latch at barrier entry.
-                    if let Some(recorder) = &mut lane.recorder {
-                        for w in &lane.workers {
-                            recorder.push(
-                                w.core.index() as u32,
-                                w.node as u32,
-                                self.now_ns as u64,
-                                EventKind::LatchRelease,
-                            );
-                        }
-                    }
-                    let threads = lane.workers.len();
-                    let barrier = self.params.barrier_base_ns * (threads.max(2) as f64).log2();
-                    lane.overhead_ns += barrier;
-                    lane.barrier_remaining_ns = Some(barrier);
-                }
-            }
+            self.acquire();
+            let next = self.reprice();
 
-            self.recompute_rates();
-
-            // Next event over all lanes: a lead or barrier expiring, a
-            // scheduling action finishing, or a chunk completing — capped by
-            // the caller's deadline.
-            let mut dt = t_end - self.now_ns;
-            for (_, lane) in &self.lanes {
-                if lane.lead_remaining_ns > 0.0 {
-                    dt = dt.min(lane.lead_remaining_ns);
-                    continue;
-                }
-                if let Some(b) = lane.barrier_remaining_ns {
-                    dt = dt.min(b);
-                    continue;
-                }
-                for w in &lane.workers {
-                    if w.stall_until_ns > self.now_ns + EPS {
-                        dt = dt.min(w.stall_until_ns - self.now_ns);
-                        continue;
-                    }
-                    let t = match &w.state {
-                        WorkerState::Overhead { remaining_ns, .. } => *remaining_ns,
-                        WorkerState::Running {
-                            remaining, rate, ..
-                        } if *rate > 0.0 => remaining / rate,
-                        _ => f64::INFINITY,
-                    };
-                    dt = dt.min(t);
-                }
-            }
+            // Step to the next event, capped by the caller's deadline. A
+            // zero-length step is an event like any other (a free pop, an
+            // empty barrier); only the deadline stops the loop.
+            let horizon = t_end - self.now_ns;
+            let dt = next.min(horizon);
             assert!(
                 dt.is_finite(),
                 "colocation machine has busy lanes but no next event"
             );
-            if dt <= 0.0 {
+            if horizon <= 0.0 {
                 // Deadline already reached.
                 return None;
             }
@@ -445,51 +440,139 @@ impl ColoMachine {
         }
     }
 
-    /// Recomputes core occupancy and the shared congestion field, then
-    /// re-prices every running chunk across all live lanes. Each chunk's
-    /// own pricing inputs were fixed when it started.
-    fn recompute_rates(&mut self) {
-        self.core_load.iter_mut().for_each(|c| *c = 0);
-        for (_, lane) in &self.lanes {
-            if lane.lead_remaining_ns > 0.0 {
+    /// Lets every idle worker of every executing lane acquire work, then
+    /// moves each lane whose workers have all parked into its closing
+    /// barrier.
+    fn acquire(&mut self) {
+        let now = self.now_ns;
+        let stalls = self.faults.is_some();
+        for (_, lane) in &mut self.lanes {
+            if !lane.executing() {
                 continue;
             }
-            for w in &lane.workers {
-                if matches!(w.state, WorkerState::Running { .. }) {
-                    self.core_load[w.core.index()] += 1;
+            // Fixed point: a batch steal can wake parked peers, which need
+            // another pass. A pass that wakes no one leaves no idle worker
+            // behind, so its census of parked workers is final.
+            let all_parked = loop {
+                let mut woke = false;
+                let mut all_parked = true;
+                for i in 0..lane.workers.len() {
+                    if stalls && lane.workers[i].stall_until_ns > now + EPS {
+                        // Stalled: sits out of the acquire loop; the event
+                        // scan bounds dt by the expiry.
+                        all_parked = false;
+                        continue;
+                    }
+                    if matches!(lane.workers[i].state, WorkerState::Idle) {
+                        woke |= seek(
+                            &mut lane.pools,
+                            &mut lane.workers,
+                            i,
+                            now,
+                            &self.params,
+                            &lane.node_worker_count,
+                            &mut lane.rng_state,
+                            &mut lane.overhead_ns,
+                            &mut lane.migrations,
+                            lane.recorder.as_mut(),
+                        );
+                    }
+                    all_parked &= matches!(lane.workers[i].state, WorkerState::Parked { .. });
+                }
+                if !woke {
+                    break all_parked;
+                }
+            };
+            if all_parked {
+                lane.enter_barrier(now, &self.params);
+            }
+        }
+    }
+
+    /// Re-prices every running chunk across all live lanes (core
+    /// occupancy, then the shared congestion field, then rates; each
+    /// chunk's own pricing inputs were fixed when it started) and returns
+    /// the time to the next event: a lead or barrier expiring, a stall
+    /// ending, a scheduling action finishing, or a chunk completing.
+    fn reprice(&mut self) -> f64 {
+        // One live lane's workers sit on distinct cores: occupancy 1.
+        let shared = self.lanes.len() > 1;
+        if shared {
+            self.core_load.iter_mut().for_each(|c| *c = 0);
+            for (_, lane) in &self.lanes {
+                for w in &lane.workers {
+                    if matches!(w.state, WorkerState::Running { .. }) {
+                        self.core_load[w.core.index()] += 1;
+                    }
                 }
             }
         }
+        let core_load = &self.core_load;
+        let occupancy = |core: CoreId| {
+            if shared {
+                core_load[core.index()].max(1) as f64
+            } else {
+                1.0
+            }
+        };
 
         self.field.clear();
         for (_, lane) in &self.lanes {
             for w in &lane.workers {
                 if matches!(w.state, WorkerState::Running { .. }) {
-                    let occ = self.core_load[w.core.index()].max(1) as f64;
-                    self.field.add_flow(&w.pricing, 1.0 / occ);
+                    self.field.add_flow(&w.pricing, 1.0 / occupancy(w.core));
                 }
             }
         }
         self.field.finalize(&self.params);
 
+        let now = self.now_ns;
+        let faults = self.faults.as_ref();
+        let mut next = f64::INFINITY;
         for (_, lane) in &mut self.lanes {
+            if lane.lead_remaining_ns > 0.0 {
+                next = next.min(lane.lead_remaining_ns);
+                continue;
+            }
+            if let Some(b) = lane.barrier_remaining_ns {
+                next = next.min(b);
+                continue;
+            }
             for w in &mut lane.workers {
-                if let WorkerState::Running { rate, .. } = &mut w.state {
-                    let penalty = self.field.penalty(&w.pricing.traffic);
-                    let occ = self.core_load[w.core.index()].max(1) as f64;
-                    let slowdown = self
-                        .faults
-                        .as_ref()
-                        .map_or(1.0, |p| p.node_slowdown(w.node as u32));
-                    let duration = w.pricing.duration(penalty) * occ * slowdown;
-                    *rate = if duration > 0.0 {
-                        1.0 / duration
-                    } else {
-                        f64::INFINITY
-                    };
+                let t = match &mut w.state {
+                    WorkerState::Overhead { remaining_ns, .. } => *remaining_ns,
+                    WorkerState::Running {
+                        remaining, rate, ..
+                    } => {
+                        let penalty = self.field.penalty(&w.pricing.traffic);
+                        let mut duration = w.pricing.duration(penalty) * occupancy(w.core);
+                        if let Some(plan) = faults {
+                            duration *= plan.node_slowdown(w.node as u32);
+                        }
+                        if lane.outlier_node == Some(w.node) {
+                            duration /= self.params.noise.outlier_factor;
+                        }
+                        *rate = if duration > 0.0 {
+                            1.0 / duration
+                        } else {
+                            f64::INFINITY
+                        };
+                        if *rate > 0.0 {
+                            *remaining / *rate
+                        } else {
+                            f64::INFINITY
+                        }
+                    }
+                    _ => f64::INFINITY,
+                };
+                if faults.is_some() && w.stall_until_ns > now + EPS {
+                    next = next.min(w.stall_until_ns - now);
+                } else {
+                    next = next.min(t);
                 }
             }
         }
+        next
     }
 
     /// Advances simulated time by `dt`, completing whatever finishes. A
@@ -526,7 +609,7 @@ impl ColoMachine {
                         nodes: lane.nodes_out,
                         migrations: lane.migrations,
                         threads: lane.workers.len(),
-                        trace: Vec::new(),
+                        trace: lane.records.unwrap_or_default(),
                         events: lane
                             .recorder
                             .map(|r| r.into_log(num_cores, num_nodes))
@@ -570,6 +653,14 @@ impl ColoMachine {
                         *elapsed_ns += dt;
                         if *remaining <= EPS {
                             let spec = &lane.tasks[*task];
+                            if let Some(records) = &mut lane.records {
+                                records.push(TaskRecord {
+                                    task: *task,
+                                    core: w.core,
+                                    start_ns: self.now_ns - *elapsed_ns,
+                                    end_ns: self.now_ns,
+                                });
+                            }
                             if let Some(recorder) = &mut lane.recorder {
                                 recorder.push(
                                     w.core.index() as u32,
@@ -602,7 +693,6 @@ impl ColoMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SimMachine;
     use crate::plan::NodeAssignment;
     use crate::task::Locality;
     use ilan_topology::{presets, NodeMask};
@@ -660,35 +750,32 @@ mod tests {
     }
 
     #[test]
-    fn single_lane_matches_single_loop_engine() {
-        // With one lane, no lead and no noise, the colocation engine must
-        // reproduce the single-loop engine's result (same state machine,
-        // same cost model; hierarchical plans are seed-independent).
+    fn zero_cost_pops_and_barriers_complete() {
+        // A free pop or an empty barrier is a zero-length step, not a
+        // deadline: the loop must still complete.
         let topo = presets::tiny_2x4();
-        let tasks = both_home_tasks(32, 2);
-        let plan = split_plan(32, 2);
-
-        let mut single = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 7);
         let cores = topo.cpuset_of_mask(topo.all_nodes());
-        let reference = single.run_taskloop(&cores, &plan, &tasks);
-
-        let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 7);
-        let lane = colo.add_lane();
-        colo.start_loop(lane, &cores, &plan, tasks, 0.0);
-        let (done, out) = colo
-            .run_until_next_completion()
-            .expect("one loop in flight");
-        assert_eq!(done, lane);
-        assert!(
-            (out.makespan_ns - reference.makespan_ns).abs() < 1e-6,
-            "colo {} vs engine {}",
-            out.makespan_ns,
-            reference.makespan_ns
-        );
-        assert!((out.sched_overhead_ns - reference.sched_overhead_ns).abs() < 1e-6);
-        assert_eq!(out.tasks_executed(), reference.tasks_executed());
-        assert_eq!(out.migrations, reference.migrations);
-        assert!(!colo.any_busy());
+        let zeroes: [fn(&mut MachineParams); 2] =
+            [|p| p.pop_cost_ns = 0.0, |p| p.barrier_base_ns = 0.0];
+        for zero in zeroes {
+            let mut params = MachineParams::for_topology(&topo).noiseless();
+            zero(&mut params);
+            let mut colo = ColoMachine::new(params, 7);
+            let lane = colo.add_lane();
+            colo.start_loop(
+                lane,
+                &cores,
+                &PlacementPlan::flat(),
+                both_home_tasks(32, 2),
+                0.0,
+            );
+            let (done, out) = colo
+                .run_until_next_completion()
+                .expect("the loop completes");
+            assert_eq!(done, lane);
+            assert_eq!(out.tasks_executed(), 32);
+            assert!(!colo.any_busy());
+        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Shared execution machinery of the fluid-rate engines.
+//! The worker/pool state machine of the fluid-rate machine.
 //!
-//! Both the single-loop [`Engine`](crate::engine::Engine) and the multi-lane
-//! [`ColoMachine`](crate::ColoMachine) drive the same worker/pool state
-//! machine: per-node (or per-worker) task pools, pop/steal acquisition with
-//! its modelled costs, and the Idle → Overhead → Running → Idle worker
-//! lifecycle. This module owns those pieces so the two engines cannot drift
-//! apart on scheduling semantics.
+//! [`ColoMachine`](crate::ColoMachine) drives every loop through the pieces
+//! kept here: per-node (or per-worker) task pools, pop/steal acquisition
+//! with its modelled costs, and the Idle → Overhead → Running → Idle worker
+//! lifecycle. The event loop decides *when* a worker acts; this module
+//! decides *what* it does.
 
 use crate::params::MachineParams;
 use crate::plan::PlacementPlan;
@@ -75,7 +74,7 @@ impl PoolSet {
     /// `tracer` is supplied, one [`EventKind::ChunkEnqueue`] is recorded per
     /// chunk (home = the node whose pool — or whose worker's deque — receives
     /// it) at dispatch time `now_ns`.
-    #[allow(clippy::too_many_arguments)] // internal, shared by two engines
+    #[allow(clippy::too_many_arguments)] // internal, one call per loop start
     pub(crate) fn build(
         plan: &PlacementPlan,
         num_tasks: usize,
@@ -251,15 +250,16 @@ pub(crate) fn make_workers(topo: &Topology, active: &CpuSet) -> (Vec<Worker>, Ve
 }
 
 /// Worker `i` (currently Idle) tries to acquire a chunk: the pop/steal state
-/// machine shared by both engines. Mutates the worker's state (to Overhead or
-/// Parked), accumulates scheduling overhead and migrations, and — on a
-/// hierarchical batch steal — wakes parked peers on the thief's node.
+/// machine. Mutates the worker's state (to Overhead or Parked), accumulates
+/// scheduling overhead and migrations, and — on a hierarchical batch steal —
+/// wakes parked peers on the thief's node. Returns whether it woke any: a
+/// woken peer is Idle again and must seek in turn.
 ///
 /// With a `tracer`, every acquisition is recorded: pops as
 /// [`EventKind::LocalPop`], batch transfers element-wise as
-/// [`EventKind::InterNodeSteal`] (cross-node, matching the engines'
+/// [`EventKind::InterNodeSteal`] (cross-node, matching the machine's
 /// at-steal-time migration accounting) or [`EventKind::IntraNodeSteal`].
-#[allow(clippy::too_many_arguments)] // internal hot path shared by two engines
+#[allow(clippy::too_many_arguments)] // internal hot path
 pub(crate) fn seek(
     pools: &mut PoolSet,
     workers: &mut [Worker],
@@ -271,7 +271,7 @@ pub(crate) fn seek(
     overhead_ns: &mut f64,
     migrations: &mut usize,
     mut tracer: Option<&mut Recorder>,
-) {
+) -> bool {
     let node = workers[i].node;
     let me = workers[i].core.index() as u32;
     let my_node = node as u32;
@@ -280,6 +280,7 @@ pub(crate) fn seek(
             tr.push(me, my_node, now as u64, kind);
         }
     };
+    let mut woke = false;
     let (task, cost) = match pools {
         PoolSet::Flat(qs) => {
             if let Some(t) = qs[i].pop_front() {
@@ -368,6 +369,7 @@ pub(crate) fn seek(
                                 if j != i && w.node == node {
                                     *overhead_ns += now - since;
                                     w.state = WorkerState::Idle;
+                                    woke = true;
                                 }
                             }
                         }
@@ -399,6 +401,7 @@ pub(crate) fn seek(
             workers[i].state = WorkerState::Parked { since: now };
         }
     }
+    woke
 }
 
 /// The Overhead → Running transition: fixes the chunk's pricing inputs for

@@ -27,13 +27,15 @@
 //!   node-wide outlier windows reproduce the variance mechanisms the paper
 //!   names (DVFS, external system noise).
 //!
-//! The simulator executes one *taskloop invocation* at a time: the caller
+//! [`SimMachine`] executes one *taskloop invocation* at a time: the caller
 //! provides the set of active cores, a [`PlacementPlan`] (flat baseline pool,
 //! hierarchical per-node pools with a NUMA-strict fraction, or static
 //! work-sharing slices) and the task chunks; it returns a [`LoopOutcome`] with
 //! the makespan, per-node performance, and accumulated scheduling overhead.
-//! Scheduling *policy* (which plan, how many threads) lives in the `ilan`
-//! crate — this crate is purely the machine.
+//! [`ColoMachine`] runs several tenants' invocations concurrently on one
+//! machine. There is one event loop: a `SimMachine` is a `ColoMachine` with a
+//! single lane. Scheduling *policy* (which plan, how many threads) lives in
+//! the `ilan` crate — this crate is purely the machine.
 //!
 //! # Example
 //!
@@ -67,7 +69,6 @@
 #![warn(missing_docs)]
 
 mod colo;
-mod engine;
 mod exec;
 mod machine;
 pub mod metrics;

@@ -94,9 +94,12 @@ impl MachineParams {
         self
     }
 
-    /// Validates internal consistency; called by [`SimMachine::new`]
-    /// (panics on nonsensical parameters, which indicate a programming error).
+    /// Validates internal consistency; called by [`ColoMachine::new`] and so
+    /// by [`SimMachine::new`] (panics on nonsensical parameters, which
+    /// indicate a programming error). Every runtime cost must be finite and
+    /// non-negative: a negative cost would step the clock backwards.
     ///
+    /// [`ColoMachine::new`]: crate::ColoMachine::new
     /// [`SimMachine::new`]: crate::SimMachine::new
     pub(crate) fn validate(&self) {
         assert!(self.core_bw > 0.0, "core bandwidth must be positive");
@@ -106,8 +109,20 @@ impl MachineParams {
             self.overload_beta >= 0.0,
             "overload beta must be non-negative"
         );
-        assert!(self.pop_cost_ns >= 0.0);
-        assert!(self.task_create_ns >= 0.0);
+        for (name, cost) in [
+            ("pop_cost_ns", self.pop_cost_ns),
+            ("pop_contention_ns", self.pop_contention_ns),
+            ("remote_steal_cost_ns", self.remote_steal_cost_ns),
+            ("failed_steal_cost_ns", self.failed_steal_cost_ns),
+            ("task_create_ns", self.task_create_ns),
+            ("barrier_base_ns", self.barrier_base_ns),
+            ("static_chunk_ns", self.static_chunk_ns),
+        ] {
+            assert!(
+                cost.is_finite() && cost >= 0.0,
+                "{name} must be finite and >= 0, got {cost}"
+            );
+        }
         assert!(
             self.stream_kappa >= 0.0,
             "stream kappa must be non-negative"
@@ -134,6 +149,38 @@ mod tests {
         let p = MachineParams::for_topology(&presets::tiny_2x4()).noiseless();
         assert_eq!(p.noise.freq_jitter_sd, 0.0);
         assert_eq!(p.noise.outlier_prob, 0.0);
+    }
+
+    /// One cost field of [`MachineParams`], by accessor.
+    type CostField = fn(&mut MachineParams) -> &mut f64;
+
+    #[test]
+    fn rejects_negative_or_non_finite_costs() {
+        let fields: [(&str, CostField); 7] = [
+            ("pop_cost_ns", |p| &mut p.pop_cost_ns),
+            ("pop_contention_ns", |p| &mut p.pop_contention_ns),
+            ("remote_steal_cost_ns", |p| &mut p.remote_steal_cost_ns),
+            ("failed_steal_cost_ns", |p| &mut p.failed_steal_cost_ns),
+            ("task_create_ns", |p| &mut p.task_create_ns),
+            ("barrier_base_ns", |p| &mut p.barrier_base_ns),
+            ("static_chunk_ns", |p| &mut p.static_chunk_ns),
+        ];
+        for (name, field) in fields {
+            for bad in [-1.0, f64::NAN, f64::INFINITY] {
+                let mut p = MachineParams::for_topology(&presets::tiny_2x4());
+                *field(&mut p) = bad;
+                let panic = std::panic::catch_unwind(|| p.validate())
+                    .expect_err(&format!("{name} = {bad} must be rejected"));
+                let message = panic
+                    .downcast_ref::<String>()
+                    .expect("formatted panic message");
+                assert!(message.starts_with(name), "{name} = {bad}: {message}");
+            }
+            // Zero is a valid cost.
+            let mut p = MachineParams::for_topology(&presets::tiny_2x4());
+            *field(&mut p) = 0.0;
+            p.validate();
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The shared cost model: traffic shaping, congestion and chunk durations.
 //!
-//! Every engine in this crate prices a running chunk the same way:
+//! The machine prices every running chunk the same way:
 //!
 //! 1. when the chunk starts, its [`ChunkPricing`] is fixed: its DRAM
 //!    traffic split into per-node rows (fraction, latency factor, crossed
@@ -13,10 +13,10 @@
 //! 3. each chunk's memory time is inflated by the field's congestion
 //!    factors along its traffic rows.
 //!
-//! Only steps 2 and 3 run per event. Keeping all three here means the single-loop engine and the
-//! multi-lane colocation engine by construction share one interference
-//! channel — a chunk slows down identically whether its competitor belongs
-//! to the same taskloop or to another tenant's.
+//! Only steps 2 and 3 run per event. Every lane of the machine is priced
+//! against the one field, so there is one interference channel — a chunk
+//! slows down identically whether its competitor belongs to the same
+//! taskloop or to another tenant's.
 
 use crate::params::MachineParams;
 use crate::task::TaskSpec;
@@ -149,7 +149,8 @@ impl CongestionField {
 
     /// Adds one running chunk's demand. `scale` discounts a chunk that holds
     /// only part of a core (timeshared execution under oversubscription
-    /// issues proportionally less traffic); single-loop engines pass 1.0.
+    /// issues proportionally less traffic); a chunk alone on its core
+    /// passes 1.0.
     pub(crate) fn add_flow(&mut self, chunk: &ChunkPricing, scale: f64) {
         self.streams[chunk.home] += chunk.stream_weight * scale;
         for row in &chunk.traffic {

@@ -1,9 +1,9 @@
-//! Golden determinism digests of the single-loop engine.
+//! Golden determinism digests of single-application runs on [`SimMachine`].
 //!
 //! The simulator's outputs are pure functions of (machine seed, workload,
-//! policy). These digests pin them bit for bit: any change to the engine,
-//! the cost model or the worker state machine that alters a single float
-//! of a run's statistics moves the digest. A refactor that claims to be
+//! policy). These digests pin them bit for bit: any change to the event
+//! loop, the cost model or the worker state machine that alters a single
+//! float of a run's statistics moves the digest. A refactor that claims to be
 //! behaviour-preserving must leave them untouched; a deliberate model
 //! change updates them together with EXPERIMENTS.md.
 

@@ -12,7 +12,7 @@
 //! whatever the other tenants are doing to the memory system.
 
 use crate::job::JobSpec;
-use ilan::driver::{active_cores, build_plan};
+use ilan::driver::sim_placement;
 use ilan::ptt::Ptt;
 use ilan::{Decision, IlanParams, IlanScheduler, Policy, SiteId, TaskloopReport};
 use ilan_numasim::{ColoMachine, LoopOutcome};
@@ -173,14 +173,8 @@ impl Tenant {
         let site = SiteId::new(site_idx as u64);
         let decision = self.sched.decide(site);
         let tasks = self.app.sites[site_idx].tasks.clone();
-        let cores = match &decision {
-            Decision::Hierarchical { mask, threads, .. } => {
-                active_cores(&self.topo, *mask, *threads)
-            }
-            // Flat / work-sharing decisions span the tenant's partition.
-            _ => self.topo.cpuset_of_mask(self.partition),
-        };
-        let plan = build_plan(&decision, tasks.len());
+        // Flat / work-sharing decisions span the tenant's partition.
+        let (cores, plan) = sim_placement(&self.topo, &decision, self.partition, tasks.len());
         // The program's serial section runs between timesteps.
         let serial = if idx > 0 && idx.is_multiple_of(self.app.schedule.len()) {
             self.app.serial_ns
@@ -226,13 +220,7 @@ impl Tenant {
         let idx = self.next_invocation;
         let site_idx = self.app.schedule[idx % self.app.schedule.len()];
         let tasks = self.app.sites[site_idx].tasks.clone();
-        let cores = match &decision {
-            Decision::Hierarchical { mask, threads, .. } => {
-                active_cores(&self.topo, *mask, *threads)
-            }
-            _ => self.topo.cpuset_of_mask(self.partition),
-        };
-        let plan = build_plan(&decision, tasks.len());
+        let (cores, plan) = sim_placement(&self.topo, &decision, self.partition, tasks.len());
         let lead = backoff_ns * 2f64.powi(self.attempt as i32 - 1);
         // Strip the backoff from the eventual recorded time the same way the
         // serial section is stripped: the PTT must see loop time, not the
