@@ -178,9 +178,10 @@ pub fn run_stress(config: &StressConfig) -> StressSummary {
         // Ragged shapes: lengths that don't divide evenly into chunks.
         let mut len = rng.random_range(1usize..2_000);
         let mut grain = rng.random_range(1usize..40);
-        // Batch-heavy shapes: single-iteration chunks over a long range put
-        // maximum pressure on the batched injector/deque transfers (hundreds
-        // of chunks moving in MAX_BATCH-sized gulps).
+        // Chunk-heavy shapes: single-iteration chunks over a long range put
+        // maximum pressure on the cursor claims (thousands of one-chunk
+        // claims and tail steals racing each other). The summary tags them
+        // `batch `.
         let batchy = rng.random_range(0u32..4) == 0;
         if batchy {
             len = rng.random_range(1_000usize..3_000);

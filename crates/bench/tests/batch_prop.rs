@@ -1,9 +1,10 @@
-//! Property test: batched chunk acquisition preserves the runtime's
-//! execution invariants.
+//! Property test: chunk acquisition through the range cursors preserves
+//! the runtime's execution invariants.
 //!
-//! The dispatch arena moves chunks in `MAX_BATCH`-sized gulps between the
-//! per-node injectors and worker deques. For randomized hierarchical shapes
-//! (including hundreds-of-chunks batch-heavy ones) this must never break:
+//! Workers claim chunks one at a time off the head of their node's cursor,
+//! and idle remote nodes claim them off its tail. For randomized
+//! hierarchical shapes (including ones with hundreds of chunks) this must
+//! never break:
 //!
 //! * **exactly-once** — every chunk starts exactly once, every iteration of
 //!   the range runs exactly once;

@@ -24,27 +24,13 @@ use std::ops::Range;
 
 /// Resolves the active core set for a hierarchical decision: `threads`
 /// cores spread evenly over the mask's nodes, lowest cores first in each
-/// node (the same rule the native runtime applies internally).
+/// node — the native runtime's own rule, [`ilan_runtime::active_cores`].
+///
+/// # Panics
+/// Panics if `mask` is empty, or if `threads` is neither 0 nor at least
+/// the mask's node count.
 pub fn active_cores(topology: &Topology, mask: NodeMask, threads: usize) -> CpuSet {
-    assert!(!mask.is_empty(), "active_cores needs a non-empty mask");
-    let k = mask.count();
-    let max_threads = k * topology.cores_per_node();
-    let want = if threads == 0 {
-        max_threads
-    } else {
-        threads.min(max_threads)
-    };
-    let mut set = CpuSet::new();
-    for (rank, node) in mask.iter().enumerate() {
-        let per = want / k + usize::from(rank < want % k);
-        for core in topology.cores_of_node(node).take(per) {
-            set.insert(core);
-        }
-    }
-    if set.is_empty() {
-        set.insert(topology.primary_core(mask.first().unwrap()));
-    }
-    set
+    ilan_runtime::active_cores(topology, mask, threads).collect()
 }
 
 /// Builds the simulator placement plan realizing a decision over
@@ -209,6 +195,13 @@ mod tests {
         let mask = NodeMask::first_n(2); // 16 cores
         assert_eq!(active_cores(&t, mask, 1000).count(), 16);
         assert_eq!(active_cores(&t, t.all_nodes(), usize::MAX).count(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs an active core")]
+    fn active_cores_rejects_fewer_threads_than_mask_nodes() {
+        let t = presets::epyc_9354_2s();
+        active_cores(&t, NodeMask::first_n(4), 3);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   posting a worker's run token; the watchdog's broadcast escalation must
 //!   repair it.
 //! - **Steal refusals** ([`FaultPlan::refuses_remote_steal`]): a worker
-//!   declines to steal from remote-node injectors, stressing the drain path.
+//!   declines to steal from remote nodes' cursors, stressing the drain path.
 //! - **PTT corruption** ([`FaultPlan::corrupts_ptt`] /
 //!   [`FaultPlan::corrupt_text`]): flips bytes in a persisted PTT so the
 //!   server must fall back to cold-start exploration.
@@ -353,7 +353,7 @@ impl FaultPlan {
         .is_multiple_of(self.config.wakeup_drop_denom)
     }
 
-    /// Whether `worker` refuses to steal from remote-node injectors.
+    /// Whether `worker` refuses to steal from remote nodes.
     pub fn refuses_remote_steal(&self, worker: u32) -> bool {
         self.refusals.binary_search(&worker).is_ok()
     }

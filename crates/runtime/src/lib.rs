@@ -8,11 +8,12 @@
 //!   chunks, each chunk becomes a task,
 //! * three execution modes matching the paper's comparison points:
 //!   - [`ExecMode::Flat`] — the default LLVM tasking baseline: one shared
-//!     queue, every worker takes any chunk (random placement in effect);
+//!     cursor, every worker takes any chunk (random placement in effect);
 //!   - [`ExecMode::Hierarchical`] — ILAN's mode: chunks are pre-assigned to
-//!     NUMA nodes and enqueued on per-node queues; an initial fraction is
-//!     NUMA-strict, the tail may be stolen by fully idle remote nodes
-//!     (`full` steal policy) or not at all (`strict`);
+//!     NUMA nodes, each node's share one contiguous range behind a per-node
+//!     cursor; an initial fraction is NUMA-strict, the tail may be stolen by
+//!     fully idle remote nodes (`full` steal policy) or not at all
+//!     (`strict`);
 //!   - [`ExecMode::WorkSharing`] — OpenMP `for schedule(static)`: fixed
 //!     contiguous slices per worker, no queues, no stealing.
 //!
@@ -53,8 +54,8 @@ pub use chunk::{chunk_ranges, ChunkAssignment, Grain};
 pub use metrics::{PoolMetrics, TAIL_FACTOR, TAIL_MIN_SAMPLES};
 pub use pin::{pin_current_thread, PinMode};
 pub use pool::{
-    ExecMode, PoolConfig, PoolError, StealPolicy, ThreadPool, WakeMode, DEFAULT_INLINE_THRESHOLD,
-    DEFAULT_WATCHDOG,
+    active_cores, ExecMode, PoolConfig, PoolError, StealPolicy, ThreadPool,
+    DEFAULT_INLINE_THRESHOLD, DEFAULT_WATCHDOG,
 };
 pub use report::{LoopReport, NodeReport};
 

@@ -32,10 +32,10 @@ pub const TAIL_MIN_SAMPLES: u64 = 32;
 /// | `loops` | counter (`path`=`inline`/`dispatched`) | invocations by execution path |
 /// | `dispatch_ns` | histogram | arena fill + wakeup posting latency |
 /// | `loop_ns` | histogram | dispatched-invocation makespan (drives the tail tracker) |
-/// | `wakeups` | counter (`mode`) | sleep-slot posts by wake mode |
+/// | `wakeups` | counter | sleep-slot posts that start a team member |
 /// | `park_ns` | histogram | worker sleep duration per invocation (none for the dispatcher, which never parks) |
-/// | `acquisitions` | counter (`kind`) | chunk acquisitions: `local_pop` / `intra_steal` / `inter_steal` |
-/// | `steal_attempts`, `steal_hits` | counter (`scope`=`local`/`remote`) | probe traffic split by NUMA scope |
+/// | `acquisitions` | counter (`kind`) | chunk acquisitions: `local_pop` / `inter_steal` |
+/// | `steal_attempts`, `steal_hits` | counter (`scope`=`local`/`remote`) | cursor claims: own cursor's head (`local`), remote tails (`remote`) |
 /// | `degraded` | counter (`stage`) | watchdog escalations |
 /// | `faults_injected` | counter | chaos-layer injections seen by the dispatcher |
 /// | `flight_triggers` | counter | anomalies seen by the flight recorder |
@@ -45,11 +45,9 @@ pub struct PoolMetrics {
     pub(crate) loops_dispatched: Counter,
     pub(crate) dispatch_ns: Histogram,
     pub(crate) loop_ns: Histogram,
-    pub(crate) wakeups_targeted: Counter,
-    pub(crate) wakeups_broadcast: Counter,
+    pub(crate) wakeups: Counter,
     pub(crate) park_ns: Histogram,
     pub(crate) acq_local_pop: ShardedCounter,
-    pub(crate) acq_intra_steal: ShardedCounter,
     pub(crate) acq_inter_steal: ShardedCounter,
     pub(crate) steal_attempts_local: ShardedCounter,
     pub(crate) steal_attempts_remote: ShardedCounter,
@@ -103,19 +101,12 @@ impl PoolMetrics {
                 "ilan_pool_dispatch_ns",
                 "Dispatch latency (arena fill + wakeup posting), ns",
             ),
-            wakeups_targeted: r.counter_with(
+            wakeups: r.counter(
                 "ilan_pool_wakeups",
-                "Sleep-slot posts by wake mode",
-                &[("mode", "targeted")],
-            ),
-            wakeups_broadcast: r.counter_with(
-                "ilan_pool_wakeups",
-                "Sleep-slot posts by wake mode",
-                &[("mode", "broadcast")],
+                "Sleep-slot posts that start a team member",
             ),
             park_ns: r.histogram("ilan_pool_park_ns", "Worker sleep duration per wakeup, ns"),
             acq_local_pop: acq("local_pop"),
-            acq_intra_steal: acq("intra_steal"),
             acq_inter_steal: acq("inter_steal"),
             steal_attempts_local: steal(
                 "ilan_pool_steal_attempts",

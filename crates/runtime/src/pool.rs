@@ -4,16 +4,31 @@
 //!
 //! The pool executes one taskloop at a time. All per-invocation state lives
 //! in a persistent **dispatch arena** owned by the pool ([`RunData`] inside
-//! [`Shared`]): the chunk table, the per-node injector set, the active-worker
-//! flags and the completion latch are allocated once and reused, so a warm
-//! invocation performs no heap allocation on the dispatch path.
+//! [`Shared`]): the chunk table, the active-worker flags and the completion
+//! latch are allocated once and reused, so a warm invocation performs no
+//! heap allocation on the dispatch path.
+//!
+//! # Range cursors
+//!
+//! Every chunk of a taskloop is known at dispatch and no chunk spawns
+//! another, so a node's share is one contiguous run of chunk indices:
+//! its NUMA-strict chunks first, then the stealable tail
+//! ([`ChunkAssignment::chunks_of_rank`]). Each node holds that run in one
+//! [`Cursor`] word packing `(head, tail)`. The node's workers claim from the
+//! head with a `fetch_add`; under [`StealPolicy::Full`] a worker whose own
+//! cursor is exhausted walks the other nodes nearest-first and claims one
+//! chunk at a time off a tail with a compare-exchange, only while the tail
+//! lies past both the head and the node's strict end. [`ExecMode::Flat`]
+//! uses one global cursor over every chunk; [`ExecMode::WorkSharing`] keeps
+//! fixed per-worker slices. This is the locality-queue design of Wittmann
+//! & Hager: no queue, no lock and no per-chunk push on any path.
 //!
 //! Workers sleep on private [`SleepSlot`]s (an eventcount each) instead of a
 //! global mutex/condvar. The dispatcher publishes a fresh epoch token into
 //! exactly the slots of the workers a loop activates, so a taskloop confined
 //! to a 2-node mask never wakes the other nodes' workers at all. The token
-//! encodes participation in its low bit — a worker woken without it (only
-//! possible under [`WakeMode::Broadcast`]) goes straight back to sleep
+//! encodes participation in its low bit — a worker woken without it (by the
+//! watchdog's stage-1 re-post or at shutdown) goes straight back to sleep
 //! without ever dereferencing the arena.
 //!
 //! # The caller works
@@ -23,9 +38,9 @@
 //! of the placement mask's first node (worker 0 under [`ExecMode::Flat`]
 //! and [`ExecMode::WorkSharing`]), posts wakeups to the other N−1 members
 //! only, and then runs the same `work` loop as a worker — its static slice,
-//! or pops and steals as the policy allows — out of a private deque the
-//! pool keeps for it. The slot's own worker thread sits out the invocation,
-//! so the slot's trace ring keeps a single producer. The dispatcher is
+//! or claims from its node's cursor and steals as the policy allows. The
+//! slot's own worker thread sits out the invocation, so the slot's trace
+//! ring keeps a single producer. The dispatcher is
 //! accounted on its slot's node (its chunks count as local there), and
 //! where the slot's worker is pinned it binds itself to the slot's core,
 //! as an OpenMP primary thread is bound to its place; the binding outlives
@@ -36,8 +51,9 @@
 //!
 //! Synchronisation protocol (the safety story for the `UnsafeCell` arena):
 //!
-//! 1. the dispatcher, holding the dispatch lock, mutates [`RunData`] while no
-//!    worker is active (the previous invocation's exit latch has released);
+//! 1. the dispatcher, holding the dispatch lock, mutates [`RunData`] and
+//!    rewrites every cursor while no worker is active (the previous
+//!    invocation's exit latch has released);
 //! 2. it then posts epoch tokens — the `SeqCst` epoch store in
 //!    [`SleepSlot::post`] publishes every arena write to the workers' acquire
 //!    loads in [`SleepSlot::wait`];
@@ -55,12 +71,11 @@ use crate::metrics::PoolMetrics;
 use crate::pin::{bind_caller, pin_current_thread, PinMode};
 use crate::report::{LoopReport, NodeReport};
 use crate::sleep::sys::AtomicU64 as ClaimWord;
-use crate::sleep::{Backoff, SleepSlot};
-use crossbeam_deque::{Injector, Steal, Stealer, Worker as Deque};
+use crate::sleep::SleepSlot;
 use crossbeam_utils::CachePadded;
 use ilan_faults::FaultPlan;
 use ilan_metrics::{FlightDump, FlightReason, ShardedCounter};
-use ilan_topology::{NodeId, NodeMask, Topology};
+use ilan_topology::{CoreId, NodeId, NodeMask, Topology};
 use ilan_trace::{EventKind, EventLog, FaultTag, TraceSet, DISPATCHER};
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
@@ -76,14 +91,14 @@ pub enum StealPolicy {
     /// Work-stealing confined to the chunk's assigned NUMA node.
     Strict,
     /// The stealable tail of each node's chunks may migrate to another node
-    /// once that node has exhausted its own queues.
+    /// once that node has exhausted its own cursor.
     Full,
 }
 
 /// How one taskloop invocation is executed.
 #[derive(Clone, Debug)]
 pub enum ExecMode {
-    /// LLVM-default tasking baseline: one shared queue, every worker takes
+    /// LLVM-default tasking baseline: one shared cursor, every worker takes
     /// any chunk. Uses all workers.
     Flat,
     /// OpenMP `for schedule(static)` work-sharing: fixed contiguous slices,
@@ -96,8 +111,11 @@ pub enum ExecMode {
         /// Nodes eligible to execute the loop.
         mask: NodeMask,
         /// Total active threads, distributed evenly over the mask's nodes
-        /// (each node activates its lowest cores first). Clamped to the
-        /// cores available in the mask; 0 means "all cores of the mask".
+        /// (each node activates its lowest cores first; see
+        /// [`active_cores`]). Clamped to the cores available in the mask;
+        /// 0 means "all cores of the mask". Otherwise it must be at least
+        /// the mask's node count, so every node that holds chunks has a
+        /// worker to run them.
         threads: usize,
         /// Fraction of each node's chunks that are NUMA-strict under
         /// [`StealPolicy::Full`]; ignored under `Strict` (everything is
@@ -108,23 +126,9 @@ pub enum ExecMode {
     },
 }
 
-/// How the dispatcher wakes workers for a new invocation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WakeMode {
-    /// Post the new epoch only to the workers the invocation activates;
-    /// everyone else sleeps through it. The default.
-    #[default]
-    Targeted,
-    /// Post to every worker, participating or not (the non-participants wake
-    /// only to go back to sleep). This reproduces the wakeup cost of the old
-    /// global-condvar broadcast and exists as an in-tree baseline for the
-    /// overhead benchmarks; it is never faster than `Targeted`.
-    Broadcast,
-}
-
 /// Loops of at most this many iterations (or resolving to a single chunk,
 /// or to a team of one worker on one node) run inline on the calling thread
-/// by default: below this size the fixed dispatch cost — wakeups, queue
+/// by default: below this size the fixed dispatch cost — wakeups, cursor
 /// traffic, the implicit barrier — dwarfs any parallel speedup. Tune per
 /// pool with [`PoolConfig::inline_threshold`].
 pub const DEFAULT_INLINE_THRESHOLD: usize = 32;
@@ -172,8 +176,6 @@ pub struct PoolConfig {
     pub topology: Topology,
     /// Pinning behaviour.
     pub pin: PinMode,
-    /// Wakeup strategy for new invocations.
-    pub wake: WakeMode,
     /// Loops with at most this many iterations execute inline on the caller
     /// (see [`DEFAULT_INLINE_THRESHOLD`]). Set to 0 to dispatch everything
     /// except single-chunk loops and teams of one.
@@ -202,13 +204,12 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// Configuration with default (auto) pinning, targeted wakeups and the
-    /// default inline threshold.
+    /// Configuration with default (auto) pinning and the default inline
+    /// threshold.
     pub fn new(topology: Topology) -> Self {
         PoolConfig {
             topology,
             pin: PinMode::Auto,
-            wake: WakeMode::default(),
             inline_threshold: DEFAULT_INLINE_THRESHOLD,
             watchdog: None,
             faults: None,
@@ -220,12 +221,6 @@ impl PoolConfig {
     /// Sets the pinning mode.
     pub fn pin(mut self, pin: PinMode) -> Self {
         self.pin = pin;
-        self
-    }
-
-    /// Sets the wakeup strategy.
-    pub fn wake(mut self, wake: WakeMode) -> Self {
-        self.wake = wake;
         self
     }
 
@@ -315,40 +310,92 @@ struct Chunk {
     home: NodeId,
 }
 
-/// Which acquisition discipline the current invocation uses. The queues
-/// themselves are persistent ([`QueueSet`]); this only selects among them.
+/// Which acquisition discipline the current invocation uses.
 #[derive(Clone, Copy)]
-enum QueueKind {
+enum Discipline {
+    /// Every worker claims from the global cursor.
     Flat,
+    /// Each worker claims from its node's cursor, then steals as `policy`
+    /// allows.
     Hier { policy: StealPolicy },
+    /// Each worker runs its fixed slice.
     Static,
 }
 
-/// The pool's persistent injector set, reused by every invocation. Queues
-/// are fully drained by the invocation that filled them (exactly-once
-/// execution), so reuse needs no cleanup — a debug assertion checks.
-struct QueueSet {
-    flat: Injector<usize>,
-    /// Per-node queue of NUMA-strict chunk indices.
-    strict: Vec<Injector<usize>>,
-    /// Per-node queue of chunks stealable across nodes.
-    shared: Vec<Injector<usize>>,
-}
+/// Largest chunk count a dispatched invocation may have. A claimant that
+/// finds a cursor exhausted still advances its head once, and every cursor
+/// is rewritten at dispatch, so a head never passes `num_chunks` plus one
+/// step per claimant (the workers and the stage-2 drain). Indices up to
+/// 2^31 leave the head's 32-bit half that much room, so a head overshoot
+/// can never carry into the tail.
+const MAX_CHUNKS: usize = 1 << 31;
 
-impl QueueSet {
-    fn new(num_nodes: usize) -> Self {
-        QueueSet {
-            flat: Injector::new(),
-            strict: (0..num_nodes).map(|_| Injector::new()).collect(),
-            shared: (0..num_nodes).map(|_| Injector::new()).collect(),
-        }
+/// A run of unclaimed chunk indices `head..tail`, packed into one word
+/// (head in the low half) so that a claim from either end is a single
+/// atomic operation.
+///
+/// The word only hands out indices. The chunk table they index is
+/// published by the epoch token like the rest of the arena, so relaxed
+/// orderings suffice: each chunk is claimed exactly once because every
+/// claim is a read-modify-write of the same word.
+struct Cursor(ClaimWord);
+
+impl Cursor {
+    fn new() -> Self {
+        Cursor(ClaimWord::new(0))
     }
 
-    #[cfg(debug_assertions)]
-    fn is_empty(&self) -> bool {
-        self.flat.is_empty()
-            && self.strict.iter().all(Injector::is_empty)
-            && self.shared.iter().all(Injector::is_empty)
+    #[inline]
+    fn pack(head: usize, tail: usize) -> u64 {
+        ((tail as u64) << 32) | head as u64
+    }
+
+    #[inline]
+    fn unpack(word: u64) -> (usize, usize) {
+        ((word & u64::from(u32::MAX)) as usize, (word >> 32) as usize)
+    }
+
+    /// Hands out `range`: written by the dispatcher before the epoch
+    /// tokens publish it.
+    fn set(&self, range: Range<usize>) {
+        self.0
+            .store(Self::pack(range.start, range.end), Ordering::Relaxed);
+    }
+
+    /// Whether every chunk has been claimed.
+    fn is_exhausted(&self) -> bool {
+        let (head, tail) = Self::unpack(self.0.load(Ordering::Relaxed));
+        head >= tail
+    }
+
+    /// Claims the chunk at the head: a local acquisition. An exhausted
+    /// cursor still advances its head (see [`MAX_CHUNKS`]).
+    #[inline]
+    fn claim_head(&self) -> Option<usize> {
+        let (head, tail) = Self::unpack(self.0.fetch_add(1, Ordering::Relaxed));
+        (head < tail).then_some(head)
+    }
+
+    /// Claims the chunk at the tail, only while the tail lies past both the
+    /// head and `strict_end`: a remote steal, which never takes one of the
+    /// NUMA-strict chunks below `strict_end`.
+    fn steal_tail(&self, strict_end: usize) -> Option<usize> {
+        let mut word = self.0.load(Ordering::Relaxed);
+        loop {
+            let (head, tail) = Self::unpack(word);
+            if tail <= head.max(strict_end) {
+                return None;
+            }
+            match self.0.compare_exchange(
+                word,
+                Self::pack(head, tail - 1),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Some(tail - 1),
+                Err(now) => word = now,
+            }
+        }
     }
 }
 
@@ -382,8 +429,11 @@ impl NodeAtomics {
 /// the module-level protocol); read by participating workers during one.
 struct RunData {
     body: BodyPtr,
-    kind: QueueKind,
+    kind: Discipline,
     chunks: Vec<Chunk>,
+    /// Per node, the end of its NUMA-strict chunks: remote thieves stop
+    /// there (hierarchical mode only).
+    strict_end: Vec<usize>,
     /// Which workers participate in this invocation. Only the dispatcher
     /// reads this (to decide whom to wake); workers learn of participation
     /// from their epoch token's low bit.
@@ -436,18 +486,13 @@ struct Shared {
     epoch: AtomicU64,
     /// One sleep slot per worker (each internally cache-padded).
     slots: Vec<SleepSlot>,
-    /// Stealer handles onto every worker's private deque, indexed by worker
-    /// (== core) id. Intra-node peers steal through these; remote steals go
-    /// through the shared injectors only, so NUMA-strict chunks never leave
-    /// their node once they reach a private deque.
-    stealers: Vec<Stealer<usize>>,
-    /// Stealer onto the dispatcher's private deque, which stands in for
-    /// the deque of the slot it works (see [`Shared::stealer`]).
-    caller_stealer: Stealer<usize>,
     /// Per node, the other nodes nearest-first: the remote-steal sweep
     /// order, computed once so an idle sweep allocates nothing.
     remote_order: Vec<Vec<NodeId>>,
-    queues: QueueSet,
+    /// The global cursor of [`ExecMode::Flat`].
+    flat: CachePadded<Cursor>,
+    /// One cursor per node, each on its own cache line.
+    cursors: Vec<CachePadded<Cursor>>,
     /// The dispatch arena (see module docs for the access protocol).
     run: UnsafeCell<RunData>,
     /// Per-node counters, one cache line each.
@@ -483,16 +528,9 @@ struct Shared {
 unsafe impl Sync for Shared {}
 
 impl Shared {
-    /// The stealer onto slot `v`'s private deque: the dispatcher's own while
-    /// it works that slot (the slot's worker thread, sitting out, holds
-    /// nothing).
-    #[inline]
-    fn stealer(&self, run: &RunData, v: usize) -> &Stealer<usize> {
-        if run.caller == Some(v) {
-            &self.caller_stealer
-        } else {
-            &self.stealers[v]
-        }
+    /// Every cursor, the global one first.
+    fn all_cursors(&self) -> impl Iterator<Item = &Cursor> {
+        std::iter::once(&*self.flat).chain(self.cursors.iter().map(|c| &**c))
     }
 }
 
@@ -506,13 +544,11 @@ impl Shared {
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// Serializes invocations and holds the dispatcher's private deque,
-    /// which it works out of as its slot's member of the team.
-    dispatch_lock: Mutex<Deque<usize>>,
+    /// Serializes invocations.
+    dispatch_lock: Mutex<()>,
     /// Per core, whether its worker thread was pinned to it; the caller
     /// binds itself to its slot's core only where the worker could be.
     pinned: Vec<bool>,
-    wake: WakeMode,
     inline_threshold: usize,
 }
 
@@ -521,18 +557,11 @@ impl ThreadPool {
     pub fn new(config: PoolConfig) -> Result<Self, PoolError> {
         let cores = config.topology.num_cores();
         let num_nodes = config.topology.num_nodes();
-        // One private deque per worker; the Worker end moves into its
-        // thread, the Stealer ends are shared.
-        let mut deques: Vec<Deque<usize>> = (0..cores).map(|_| Deque::new_fifo()).collect();
-        let stealers: Vec<Stealer<usize>> = deques.iter().map(|d| d.stealer()).collect();
-        let caller_deque: Deque<usize> = Deque::new_fifo();
         let shared = Arc::new(Shared {
             topology: config.topology.clone(),
             shutdown: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
             slots: (0..cores).map(|_| SleepSlot::new()).collect(),
-            stealers,
-            caller_stealer: caller_deque.stealer(),
             remote_order: (0..num_nodes)
                 .map(|n| {
                     config
@@ -541,11 +570,15 @@ impl ThreadPool {
                         .neighbors_by_distance(NodeId::new(n))
                 })
                 .collect(),
-            queues: QueueSet::new(num_nodes),
+            flat: CachePadded::new(Cursor::new()),
+            cursors: (0..num_nodes)
+                .map(|_| CachePadded::new(Cursor::new()))
+                .collect(),
             run: UnsafeCell::new(RunData {
                 body: BodyPtr::noop(),
-                kind: QueueKind::Flat,
+                kind: Discipline::Flat,
                 chunks: Vec::new(),
+                strict_end: vec![0; num_nodes],
                 active: Vec::new(),
                 static_slices: Vec::new(),
                 threads: 0,
@@ -579,7 +612,7 @@ impl ThreadPool {
         let ready = Arc::new(CountLatch::new(cores));
 
         let mut handles = Vec::with_capacity(cores);
-        for (i, deque) in deques.drain(..).enumerate() {
+        for i in 0..cores {
             let shared = Arc::clone(&shared);
             let pin_results = Arc::clone(&pin_results);
             let ready = Arc::clone(&ready);
@@ -595,7 +628,7 @@ impl ThreadPool {
                     // ready latch orders it against the first post().
                     shared.slots[i].register(crate::sleep::thread_current());
                     ready.count_down();
-                    worker_main(&shared, i, &deque);
+                    worker_main(&shared, i);
                 })
                 .expect("failed to spawn worker thread");
             handles.push(handle);
@@ -620,9 +653,8 @@ impl ThreadPool {
         Ok(ThreadPool {
             shared,
             handles,
-            dispatch_lock: Mutex::new(caller_deque),
+            dispatch_lock: Mutex::new(()),
             pinned,
-            wake: config.wake,
             inline_threshold: config.inline_threshold,
         })
     }
@@ -769,24 +801,30 @@ impl ThreadPool {
 
         // Validate hierarchical parameters before choosing a path, so the
         // inline shortcut rejects exactly what the dispatch path rejects.
-        if let ExecMode::Hierarchical {
-            mask,
-            strict_fraction,
-            ..
-        } = &mode
-        {
-            assert!(!mask.is_empty(), "hierarchical mode needs a non-empty mask");
-            assert!(
-                (0.0..=1.0).contains(strict_fraction),
-                "strict_fraction must be in [0,1]"
-            );
-        }
+        // A team of one — one worker, hence one node — runs sequentially on
+        // the caller, like OpenMP's `num_threads(1)`.
+        let team_of_one = match &mode {
+            ExecMode::Hierarchical {
+                mask,
+                threads,
+                strict_fraction,
+                ..
+            } => {
+                let mut team = active_cores(self.topology(), *mask, *threads);
+                assert!(
+                    (0.0..=1.0).contains(strict_fraction),
+                    "strict_fraction must be in [0,1]"
+                );
+                team.nth(1).is_none()
+            }
+            ExecMode::Flat | ExecMode::WorkSharing => all_workers == 1,
+        };
 
         // Sequential inline fast path: a loop too small to amortize a
         // dispatch — or one that is sequential anyway, being a single chunk
         // or a team of one — runs on the calling thread with no wakeups, no
-        // queue traffic and no trace-ring writes.
-        if !traced && (len <= self.inline_threshold || num_chunks <= 1 || self.team_of_one(&mode)) {
+        // cursor traffic and no trace-ring writes.
+        if !traced && (len <= self.inline_threshold || num_chunks <= 1 || team_of_one) {
             self.run_inline(range, grainsize, num_chunks, &mode, body, report);
             if let Some(m) = &self.shared.metrics {
                 m.loops_inline.inc();
@@ -794,7 +832,11 @@ impl ThreadPool {
             return None;
         }
 
-        let caller_deque = self.dispatch_lock.lock();
+        assert!(
+            num_chunks <= MAX_CHUNKS,
+            "{num_chunks} chunks exceed the dispatch limit of {MAX_CHUNKS}"
+        );
+        let _serial = self.dispatch_lock.lock();
         let dispatch_start = Instant::now();
         let shared = &*self.shared;
         let topo = &shared.topology;
@@ -865,11 +907,15 @@ impl ThreadPool {
 
             rd.active.clear();
             rd.active.resize(all_workers, false);
-            #[cfg(debug_assertions)]
-            debug_assert!(
-                shared.queues.is_empty(),
-                "queues left dirty by the previous invocation"
-            );
+            // Every cursor restarts empty, so a head overshoots by at most
+            // one step per claimant of this invocation (see `MAX_CHUNKS`).
+            for cursor in shared.all_cursors() {
+                debug_assert!(
+                    cursor.is_exhausted(),
+                    "the previous invocation left chunks unclaimed"
+                );
+                cursor.set(0..0);
+            }
 
             // One timestamp for the whole placement loop: the enqueues span
             // a few microseconds and ring order already fixes their sequence,
@@ -878,11 +924,11 @@ impl ThreadPool {
             rd.kind = match &mode {
                 ExecMode::Flat => {
                     rd.active.iter_mut().for_each(|a| *a = true);
+                    shared.flat.set(0..num_chunks);
                     for (idx, c) in rd.chunks.iter().enumerate() {
-                        shared.queues.flat.push(idx);
                         emit_enqueue(&rd.trace, enq_ns, idx, c.home, false);
                     }
-                    QueueKind::Flat
+                    Discipline::Flat
                 }
                 ExecMode::WorkSharing => {
                     rd.active.iter_mut().for_each(|a| *a = true);
@@ -895,7 +941,7 @@ impl ThreadPool {
                     for (idx, c) in rd.chunks.iter().enumerate() {
                         emit_enqueue(&rd.trace, enq_ns, idx, c.home, false);
                     }
-                    QueueKind::Static
+                    Discipline::Static
                 }
                 ExecMode::Hierarchical {
                     mask,
@@ -903,22 +949,10 @@ impl ThreadPool {
                     strict_fraction,
                     policy,
                 } => {
-                    // Distribute threads over the mask's nodes, lowest cores
-                    // first within each node.
-                    let k = mask.count();
-                    let want = hier_threads(topo, *mask, *threads);
-                    for (rank, node) in mask.iter().enumerate() {
-                        let per = want / k + usize::from(rank < want % k);
-                        for core in topo.cores_of_node(node).take(per) {
-                            rd.active[core.index()] = true;
-                        }
+                    for core in active_cores(topo, *mask, *threads) {
+                        rd.active[core.index()] = true;
                     }
-                    // Ensure at least the primary of the first node is active.
-                    if !rd.active.iter().any(|&a| a) {
-                        rd.active[topo.primary_core(mask.first().unwrap()).index()] = true;
-                    }
-
-                    // Enqueue each node's contiguous chunk slice: the first
+                    // Hand each node its contiguous run of chunks: the first
                     // `strict_count` stay NUMA-strict, the tail is stealable.
                     for (rank, node) in mask.iter().enumerate() {
                         let idxs = assignment.chunks_of_rank(rank);
@@ -928,17 +962,14 @@ impl ThreadPool {
                                 ((idxs.len() as f64) * strict_fraction).round() as usize
                             }
                         };
-                        for (j, idx) in idxs.enumerate() {
-                            let strict = j < strict_count;
-                            if strict {
-                                shared.queues.strict[node.index()].push(idx);
-                            } else {
-                                shared.queues.shared[node.index()].push(idx);
-                            }
-                            emit_enqueue(&rd.trace, enq_ns, idx, node, strict);
+                        let strict_end = idxs.start + strict_count;
+                        rd.strict_end[node.index()] = strict_end;
+                        shared.cursors[node.index()].set(idxs.clone());
+                        for idx in idxs {
+                            emit_enqueue(&rd.trace, enq_ns, idx, node, idx < strict_end);
                         }
                     }
-                    QueueKind::Hier { policy: *policy }
+                    Discipline::Hier { policy: *policy }
                 }
             };
 
@@ -1054,9 +1085,6 @@ impl ThreadPool {
                 }
                 shared.slots[i].post(run_token);
                 wakeup_posts += 1;
-            } else if self.wake == WakeMode::Broadcast {
-                shared.slots[i].post(idle_token);
-                wakeup_posts += 1;
             }
         }
         let dispatch_ns = dispatch_start.elapsed().as_nanos() as u64;
@@ -1068,7 +1096,7 @@ impl ThreadPool {
                 bind_caller(ilan_topology::CoreId::new(slot));
             }
             if shared.watchdog.is_none() || claim(&shared.claims[slot], epoch, CLAIM_WORKER) {
-                participate(shared, slot, &caller_deque, None);
+                participate(shared, slot, None);
             }
         }
         let degraded_stage = match shared.watchdog {
@@ -1112,10 +1140,7 @@ impl ThreadPool {
         if let Some(m) = &shared.metrics {
             m.loops_dispatched.inc();
             m.dispatch_ns.record(dispatch_ns);
-            match self.wake {
-                WakeMode::Targeted => m.wakeups_targeted.add(wakeup_posts),
-                WakeMode::Broadcast => m.wakeups_broadcast.add(wakeup_posts),
-            }
+            m.wakeups.add(wakeup_posts);
             match degraded_stage {
                 1 => m.degraded_stage1.inc(),
                 2 => m.degraded_stage2.inc(),
@@ -1223,17 +1248,6 @@ impl ThreadPool {
         report.threads = 1;
         report.degraded = false;
     }
-
-    /// Whether `mode` resolves to one worker on one node: a team of one,
-    /// which runs sequentially on the caller like OpenMP's `num_threads(1)`.
-    fn team_of_one(&self, mode: &ExecMode) -> bool {
-        match mode {
-            ExecMode::Hierarchical { mask, threads, .. } => {
-                mask.count() == 1 && hier_threads(self.topology(), *mask, *threads) == 1
-            }
-            ExecMode::Flat | ExecMode::WorkSharing => self.num_workers() == 1,
-        }
-    }
 }
 
 /// The nodes an invocation's chunks are assigned to: the mask in
@@ -1245,15 +1259,39 @@ fn placement_mask(topo: &Topology, mode: &ExecMode) -> NodeMask {
     }
 }
 
-/// Threads a hierarchical decision activates: `threads` clamped to the
-/// mask's cores, 0 meaning all of them.
-fn hier_threads(topo: &Topology, mask: NodeMask, threads: usize) -> usize {
-    let max = mask.count() * topo.cores_per_node();
-    if threads == 0 {
-        max
-    } else {
-        threads.min(max)
-    }
+/// The cores a hierarchical decision on `mask` with `threads` threads
+/// activates, in mask order: `threads` (0 meaning every core of the mask,
+/// and clamped to the mask's cores) spread evenly over the mask's nodes,
+/// the first `threads % k` of its `k` nodes taking one core more, each node
+/// its lowest cores first. Every node of the mask gets at least one core,
+/// so the first core is the primary core of the mask's first node.
+///
+/// This is the one active-core rule: the pool's dispatcher and the
+/// scheduler's simulator driver both call it. It allocates nothing.
+///
+/// # Panics
+/// Panics if `mask` is empty, or if `threads` is neither 0 nor at least
+/// the mask's node count: a node without an active core could not run the
+/// chunks placed on it.
+pub fn active_cores(
+    topology: &Topology,
+    mask: NodeMask,
+    threads: usize,
+) -> impl Iterator<Item = CoreId> + '_ {
+    let k = mask.count();
+    assert!(k > 0, "hierarchical mode needs a non-empty mask");
+    assert!(
+        threads == 0 || threads >= k,
+        "{threads} threads cannot cover the {k} nodes of {mask:?}: \
+         every node that holds chunks needs an active core"
+    );
+    let max = k * topology.cores_per_node();
+    let want = if threads == 0 { max } else { threads.min(max) };
+    mask.iter().enumerate().flat_map(move |(rank, node)| {
+        topology
+            .cores_of_node(node)
+            .take(want / k + usize::from(rank < want % k))
+    })
 }
 
 /// Wakes every worker for shutdown: the posted token has the participate
@@ -1305,7 +1343,7 @@ fn emit_dispatcher(rd: &RunData, node: u32, kind: EventKind) {
 /// highest escalation stage reached (0 = finished without help).
 ///
 /// Stage 0 waits out `deadline`, re-arming while chunks keep completing —
-/// slow progress is not a stall. Stage 1 degrades `WakeMode::Targeted` to a
+/// slow progress is not a stall. Stage 1 degrades the targeted wakeups to a
 /// broadcast re-post of the same tokens (repairing dropped wakeups;
 /// re-posting is idempotent because `SleepSlot::wait` only returns on an
 /// epoch *change*). Stage 2 claims every active worker that never started
@@ -1379,11 +1417,11 @@ fn guarded_wait(
 
 /// Executes all work reachable from the dispatcher on behalf of `claimed`
 /// (never-started) workers. In work-sharing mode that is exactly their
-/// static slices; in the queued modes the claimed workers own nothing yet,
-/// so the drain empties every injector and private deque it can reach —
-/// healthy workers racing it is fine, the queues are exactly-once.
+/// static slices; otherwise the claimed workers own nothing, so the drain
+/// claims from the head of every cursor until each is exhausted — healthy
+/// workers racing it is fine, every claim is exactly-once.
 fn drain_on_dispatcher(shared: &Shared, rd: &RunData, claimed: &[usize]) {
-    if let QueueKind::Static = rd.kind {
+    if let Discipline::Static = rd.kind {
         for &i in claimed {
             for chunk_idx in rd.static_slices[i].clone() {
                 execute_chunk_on_dispatcher(shared, rd, chunk_idx);
@@ -1391,34 +1429,10 @@ fn drain_on_dispatcher(shared: &Shared, rd: &RunData, claimed: &[usize]) {
         }
         return;
     }
-    // A deque of its own, out of every peer's reach: the dispatcher's working
-    // deque is stealable as its slot's, and a drained chunk taken from there
-    // by a peer of another node would leave its strict queue's node.
-    let deque: Deque<usize> = Deque::new_fifo();
-    loop {
-        let next = deque.pop().or_else(|| {
-            if let Some(i) = batch_steal_until(&shared.queues.flat, &deque) {
-                return Some(i);
-            }
-            for q in shared
-                .queues
-                .strict
-                .iter()
-                .chain(shared.queues.shared.iter())
-            {
-                if let Some(i) = batch_steal_until(q, &deque) {
-                    return Some(i);
-                }
-            }
-            for s in &shared.stealers {
-                if let Some(i) = peer_steal_until(s, &deque) {
-                    return Some(i);
-                }
-            }
-            None
-        });
-        let Some(chunk_idx) = next else { break };
-        execute_chunk_on_dispatcher(shared, rd, chunk_idx);
+    for cursor in shared.all_cursors() {
+        while let Some(chunk_idx) = cursor.claim_head() {
+            execute_chunk_on_dispatcher(shared, rd, chunk_idx);
+        }
     }
 }
 
@@ -1495,7 +1509,7 @@ fn wait_out_permanent_stall(shared: &Shared, index: usize, epoch: u64, seen: u64
     }
 }
 
-fn worker_main(shared: &Shared, index: usize, deque: &Deque<usize>) {
+fn worker_main(shared: &Shared, index: usize) {
     let mut seen = 0u64;
     loop {
         let park_start = Instant::now();
@@ -1505,8 +1519,8 @@ fn worker_main(shared: &Shared, index: usize, deque: &Deque<usize>) {
             return;
         }
         if seen & 1 == 0 {
-            // Woken without the participate bit (broadcast mode, or a spurious
-            // epoch bump): this invocation is not ours — and crucially we must
+            // Woken without the participate bit (a stage-1 re-post to an
+            // inactive worker, or shutdown): this invocation is not ours — and crucially we must
             // not read the arena, whose contents we were never published.
             continue;
         }
@@ -1532,7 +1546,7 @@ fn worker_main(shared: &Shared, index: usize, deque: &Deque<usize>) {
         if shared.watchdog.is_some() && !claim(&shared.claims[index], epoch, CLAIM_WORKER) {
             continue;
         }
-        participate(shared, index, deque, Some(park_ns));
+        participate(shared, index, Some(park_ns));
     }
 }
 
@@ -1541,7 +1555,7 @@ fn worker_main(shared: &Shared, index: usize, deque: &Deque<usize>) {
 /// the dispatcher when it works the slot — under an armed watchdog, only by
 /// whichever of them won the slot's claim. `park_ns` is `None` for the
 /// dispatcher, which never parked.
-fn participate(shared: &Shared, index: usize, deque: &Deque<usize>, park_ns: Option<u64>) {
+fn participate(shared: &Shared, index: usize, park_ns: Option<u64>) {
     {
         // SAFETY: the arena is published to this member — by the slot's
         // epoch token for a worker (release via the slot epoch store), by
@@ -1549,14 +1563,13 @@ fn participate(shared: &Shared, index: usize, deque: &Deque<usize>, park_ns: Opt
         // dispatcher takes no `&mut` until every member has passed the
         // exit-latch decrement below.
         let run = unsafe { &*shared.run.get() };
-        let done_at = work(shared, run, index, deque, park_ns);
+        let done_at = work(shared, run, index, park_ns);
         let node = shared
             .topology
             .node_of_core(ilan_topology::CoreId::new(index));
         run.emit_at(index, node, done_at, EventKind::LatchRelease);
     }
     shared.exit_latch.count_down();
-    debug_assert!(deque.pop().is_none(), "worker left chunks in its deque");
 }
 
 /// Statistics a worker accumulates privately during one invocation and
@@ -1572,7 +1585,6 @@ struct WorkerTally {
     /// Sleep before this invocation; `None` for the dispatcher.
     park_ns: Option<u64>,
     local_pops: u64,
-    intra_steals: u64,
     inter_steals: u64,
     attempts_local: u64,
     attempts_remote: u64,
@@ -1583,11 +1595,9 @@ struct WorkerTally {
 impl WorkerTally {
     /// Mirrors [`acquisition_kind`]'s classification, so the metrics
     /// counters and the trace's steal matrix agree by construction.
-    fn count_acquisition(&mut self, migrated: bool, from_peer: bool) {
+    fn count_acquisition(&mut self, migrated: bool) {
         if migrated {
             self.inter_steals += 1;
-        } else if from_peer {
-            self.intra_steals += 1;
         } else {
             self.local_pops += 1;
         }
@@ -1614,14 +1624,13 @@ impl WorkerTally {
                 m.park_ns.record(ns);
             }
             // Zero tallies stay unflushed: on the common no-steal invocation
-            // this is one RMW (the local pops), not seven.
+            // this is one RMW (the local pops), not six.
             let add = |c: &ShardedCounter, n: u64| {
                 if n > 0 {
                     c.add(worker, n);
                 }
             };
             add(&m.acq_local_pop, self.local_pops);
-            add(&m.acq_intra_steal, self.intra_steals);
             add(&m.acq_inter_steal, self.inter_steals);
             add(&m.steal_attempts_local, self.attempts_local);
             add(&m.steal_attempts_remote, self.attempts_remote);
@@ -1701,67 +1710,56 @@ fn execute_chunk(
     }
 }
 
-/// Pops or steals chunk indices until no work is reachable for this worker.
+/// Claims and runs chunks until no work is reachable for this worker.
 /// Returns the instant the worker observed no more reachable work, so the
 /// caller can stamp its latch-release event without another clock read.
-fn work(
-    shared: &Shared,
-    run: &RunData,
-    index: usize,
-    deque: &Deque<usize>,
-    park_ns: Option<u64>,
-) -> Instant {
-    let topo = &shared.topology;
-    let my_core = ilan_topology::CoreId::new(index);
-    let my_node = topo.node_of_core(my_core);
+fn work(shared: &Shared, run: &RunData, index: usize, park_ns: Option<u64>) -> Instant {
+    let my_node = shared.topology.node_of_core(CoreId::new(index));
     let mut tally = WorkerTally {
         park_ns,
         ..WorkerTally::default()
     };
 
-    if let QueueKind::Static = run.kind {
-        // Work-sharing: drain the private slice, nothing to steal.
-        for chunk_idx in run.static_slices[index].clone() {
-            let migrated = run.chunks[chunk_idx].home != my_node;
-            tally.count_acquisition(migrated, false);
-            if run.trace.is_some() {
-                run.emit(
-                    index,
-                    my_node,
-                    acquisition_kind(run, chunk_idx, my_node, None),
-                );
+    let (mut own, steal) = match run.kind {
+        Discipline::Static => {
+            // Work-sharing: drain the private slice, nothing to steal.
+            for chunk_idx in run.static_slices[index].clone() {
+                let migrated = run.chunks[chunk_idx].home != my_node;
+                tally.count_acquisition(migrated);
+                if run.trace.is_some() {
+                    run.emit(index, my_node, acquisition_kind(run, chunk_idx, my_node));
+                }
+                execute_chunk(shared, run, chunk_idx, index, my_node, migrated, &mut tally);
             }
-            execute_chunk(shared, run, chunk_idx, index, my_node, migrated, &mut tally);
+            tally.flush(shared, my_node, index);
+            return Instant::now();
         }
-        tally.flush(shared, my_node, index);
-        return Instant::now();
-    }
+        Discipline::Flat => (Some(&*shared.flat), false),
+        Discipline::Hier { policy } => (
+            Some(&*shared.cursors[my_node.index()]),
+            policy == StealPolicy::Full,
+        ),
+    };
 
     let done_at;
     loop {
         let acquire_start = Instant::now();
-        // Fast path: the private deque (filled by earlier batch steals).
-        let acquired = match deque.pop() {
-            Some(i) => Some((i, None)),
-            None => acquire(shared, run, index, my_node, topo, deque, &mut tally),
-        };
+        let acquired = acquire(shared, run, index, my_node, &mut own, steal, &mut tally);
         let acquire_elapsed = acquire_start.elapsed();
         tally.overhead_ns += acquire_elapsed.as_nanos() as u64;
-        let Some((chunk_idx, victim)) = acquired else {
+        let Some(chunk_idx) = acquired else {
             done_at = acquire_start + acquire_elapsed;
             break;
         };
-        // A chunk migrated iff it executes away from its assigned node —
-        // regardless of which queue it physically travelled through (a peer's
-        // deque may hold chunks that were batch-stolen from a remote node).
+        // A chunk migrated iff it executes away from its assigned node.
         let migrated = run.chunks[chunk_idx].home != my_node;
-        tally.count_acquisition(migrated, victim.is_some());
+        tally.count_acquisition(migrated);
         if run.trace.is_some() {
             run.emit_at(
                 index,
                 my_node,
                 acquire_start + acquire_elapsed,
-                acquisition_kind(run, chunk_idx, my_node, victim),
+                acquisition_kind(run, chunk_idx, my_node),
             );
         }
         execute_chunk(shared, run, chunk_idx, index, my_node, migrated, &mut tally);
@@ -1772,14 +1770,8 @@ fn work(
 }
 
 /// Classifies an acquisition by its locality outcome: crossing nodes is an
-/// inter-node steal (== one migration), a same-node peer-deque grab is an
-/// intra-node steal, anything else is a local pop.
-fn acquisition_kind(
-    run: &RunData,
-    chunk_idx: usize,
-    my_node: NodeId,
-    victim: Option<usize>,
-) -> EventKind {
+/// inter-node steal (== one migration), anything else is a local pop.
+fn acquisition_kind(run: &RunData, chunk_idx: usize, my_node: NodeId) -> EventKind {
     let chunk = chunk_idx as u32;
     let home = run.chunks[chunk_idx].home;
     if home != my_node {
@@ -1787,155 +1779,70 @@ fn acquisition_kind(
             chunk,
             from: home.index() as u32,
         }
-    } else if let Some(v) = victim {
-        EventKind::IntraNodeSteal {
-            chunk,
-            victim: v as u32,
-        }
     } else {
         EventKind::LocalPop { chunk }
     }
 }
 
-/// One acquisition sweep when the private deque is empty. Batch steals from
-/// injectors refill the deque (amortizing synchronization, like LLVM's
-/// taskloop splitting); peer-deque steals stay within the NUMA node so
-/// strict chunks never migrate. Returns the chunk index plus the worker it
-/// was taken from, for peer-deque steals; the caller derives migration from
-/// the chunk's assigned home (a peer's deque can hold chunks it had itself
-/// batch-stolen from a remote node).
+/// One acquisition: the head of the worker's own cursor while it lasts
+/// (`own` becomes `None` once it is exhausted, so a thief's repeated sweeps
+/// never advance its own head again), then, when `steal`, one chunk off
+/// the tail of the nearest remote node that still has stealable work.
 fn acquire(
     shared: &Shared,
     run: &RunData,
     index: usize,
     my_node: NodeId,
-    topo: &Topology,
-    deque: &Deque<usize>,
+    own: &mut Option<&Cursor>,
+    steal: bool,
     tally: &mut WorkerTally,
-) -> Option<(usize, Option<usize>)> {
-    match run.kind {
-        QueueKind::Flat => {
-            tally.attempts_local += 1;
-            if let Some(i) = batch_steal_until(&shared.queues.flat, deque) {
-                tally.hits_local += 1;
-                return Some((i, None));
-            }
-            // Steal from peer deques anywhere (the flat baseline is
-            // NUMA-oblivious), scanning from the next worker around. Probe
-            // scope follows the victim's node, not the queue the chunk was
-            // assigned to — it measures where the probe traffic lands.
-            let n = shared.stealers.len();
-            for k in 1..n {
-                let v = (index + k) % n;
-                let remote = topo.node_of_core(ilan_topology::CoreId::new(v)) != my_node;
-                if remote {
-                    tally.attempts_remote += 1;
-                } else {
-                    tally.attempts_local += 1;
-                }
-                if let Some(i) = peer_steal_until(shared.stealer(run, v), deque) {
-                    if remote {
-                        tally.hits_remote += 1;
-                    } else {
-                        tally.hits_local += 1;
-                    }
-                    return Some((i, Some(v)));
-                }
-            }
-            None
+) -> Option<usize> {
+    if let Some(cursor) = *own {
+        tally.attempts_local += 1;
+        if let Some(i) = cursor.claim_head() {
+            tally.hits_local += 1;
+            return Some(i);
         }
-        QueueKind::Hier { policy } => {
-            tally.attempts_local += 1;
-            if let Some(i) = batch_steal_until(&shared.queues.strict[my_node.index()], deque) {
-                tally.hits_local += 1;
-                return Some((i, None));
-            }
-            tally.attempts_local += 1;
-            if let Some(i) = batch_steal_until(&shared.queues.shared[my_node.index()], deque) {
-                tally.hits_local += 1;
-                return Some((i, None));
-            }
-            // Intra-node peer deques (chunks there stay on this node unless
-            // the peer had already pulled them across).
-            for peer in topo.cores_of_node(my_node) {
-                if peer.index() != index {
-                    tally.attempts_local += 1;
-                    if let Some(i) = peer_steal_until(shared.stealer(run, peer.index()), deque) {
-                        tally.hits_local += 1;
-                        return Some((i, Some(peer.index())));
-                    }
-                }
-            }
-            if policy == StealPolicy::Full {
-                // Chaos: a refusing worker declines the whole remote sweep
-                // and idles instead, shifting its share onto its peers.
-                if shared
-                    .faults
-                    .as_ref()
-                    .is_some_and(|p| p.refuses_remote_steal(index as u32))
-                {
-                    run.emit(
-                        index,
-                        my_node,
-                        EventKind::FaultInjected {
-                            fault: FaultTag::StealRefusal,
-                            target: index as u32,
-                        },
-                    );
-                    return None;
-                }
-                // Own node fully idle: visit other nodes' *shared injectors*
-                // nearest-first. Never their private deques — those may hold
-                // NUMA-strict chunks.
-                for victim in &shared.remote_order[my_node.index()] {
-                    tally.attempts_remote += 1;
-                    if let Some(i) = batch_steal_until(&shared.queues.shared[victim.index()], deque)
-                    {
-                        tally.hits_remote += 1;
-                        return Some((i, None));
-                    }
-                }
-            }
-            None
-        }
-        QueueKind::Static => unreachable!("static slices are drained directly in `work`"),
+        *own = None;
     }
-}
-
-/// Steals a batch from an injector into the private deque and pops one.
-/// `Retry` (a lost race in the upstream lock-free implementation) backs off
-/// with bounded exponential delay instead of raw-spinning on the contended
-/// line.
-fn batch_steal_until(q: &Injector<usize>, deque: &Deque<usize>) -> Option<usize> {
-    let mut backoff = Backoff::new();
-    loop {
-        match q.steal_batch_and_pop(deque) {
-            Steal::Success(i) => return Some(i),
-            Steal::Empty => return None,
-            Steal::Retry => backoff.snooze(),
+    if !steal {
+        return None;
+    }
+    // Chaos: a refusing worker declines the whole remote sweep and idles
+    // instead, shifting its share onto its peers.
+    if shared
+        .faults
+        .as_ref()
+        .is_some_and(|p| p.refuses_remote_steal(index as u32))
+    {
+        run.emit(
+            index,
+            my_node,
+            EventKind::FaultInjected {
+                fault: FaultTag::StealRefusal,
+                target: index as u32,
+            },
+        );
+        return None;
+    }
+    for victim in &shared.remote_order[my_node.index()] {
+        tally.attempts_remote += 1;
+        if let Some(i) = shared.cursors[victim.index()].steal_tail(run.strict_end[victim.index()]) {
+            tally.hits_remote += 1;
+            return Some(i);
         }
     }
+    None
 }
 
-/// Steals up to half of a peer's deque into ours and pops one, with the
-/// same bounded backoff on `Retry`.
-fn peer_steal_until(victim: &Stealer<usize>, deque: &Deque<usize>) -> Option<usize> {
-    let mut backoff = Backoff::new();
-    loop {
-        match victim.steal_batch_and_pop(deque) {
-            Steal::Success(i) => return Some(i),
-            Steal::Empty => return None,
-            Steal::Retry => backoff.snooze(),
-        }
-    }
-}
-
-/// Exhaustive models of the slot claim under an armed watchdog.
+/// Exhaustive models of the slot claim under an armed watchdog, and of the
+/// range cursor.
 ///
 /// Run with `RUSTFLAGS="--cfg loom" cargo test -p ilan-runtime --lib
 /// loom_model`. The claimants call the production [`claim`] on a loom
-/// atomic. The exit latch is modelled as an `AtomicUsize` (the vendored
-/// loom has no mutex): its count-down is the same `fetch_sub` as
+/// atomic, and the cursor's claimants the production [`Cursor`] methods.
+/// The exit latch is modelled as an `AtomicUsize` (the vendored loom has
+/// no mutex): its count-down is the same `fetch_sub` as
 /// [`CountLatch::count_down`], and the decrement that takes it from 1 to 0
 /// is the release.
 #[cfg(all(loom, test))]
@@ -1999,6 +1906,45 @@ mod loom_model {
             let caller = party(&word, &latch, EPOCH, CLAIM_WORKER);
             assert_eq!(late.join().unwrap(), (false, false));
             assert_eq!(caller, (true, true));
+        });
+    }
+
+    #[test]
+    fn a_cursor_hands_out_each_chunk_once_and_never_steals_a_strict_one() {
+        // Chunk 0 is NUMA-strict; chunks 1 and 2 form the stealable tail.
+        const STRICT_END: usize = 1;
+        loom::model(|| {
+            let cursor = Arc::new(Cursor::new());
+            cursor.set(0..3);
+            let claim_all = |cursor: &Cursor, thief: bool| {
+                let mut got = Vec::new();
+                while let Some(i) = if thief {
+                    cursor.steal_tail(STRICT_END)
+                } else {
+                    cursor.claim_head()
+                } {
+                    got.push(i);
+                }
+                got
+            };
+            let spawn = |thief: bool| {
+                let cursor = Arc::clone(&cursor);
+                loom::thread::spawn(move || claim_all(&cursor, thief))
+            };
+            // The dispatcher is the second local claimer, as it is when it
+            // works its slot.
+            let (local, thief) = (spawn(false), spawn(true));
+            let mut all = claim_all(&cursor, false);
+            let stolen = thief.join().unwrap();
+            assert!(
+                stolen.iter().all(|&i| i >= STRICT_END),
+                "stole a strict chunk: {stolen:?}"
+            );
+            all.extend(stolen);
+            all.extend(local.join().unwrap());
+            all.sort_unstable();
+            assert_eq!(all, [0, 1, 2], "each chunk claimed exactly once");
+            assert!(cursor.is_exhausted());
         });
     }
 }
@@ -2373,9 +2319,9 @@ mod tests {
         assert_eq!(audit.chunks, 8);
     }
 
-    /// Targeted wakeups posted so far.
+    /// Wakeups posted so far.
     fn wakeups(p: &ThreadPool) -> u64 {
-        p.metrics().unwrap().wakeups_targeted.get()
+        p.metrics().unwrap().wakeups.get()
     }
 
     #[test]
@@ -2492,24 +2438,47 @@ mod tests {
         .unwrap();
     }
 
+    /// One worker on a two-node mask left node 1's strict chunks unclaimed:
+    /// the loop returned after 200 of 400 iterations, and a later loop ran
+    /// the stale chunks again. Such a decision is now rejected up front.
     #[test]
-    fn a_one_worker_decision_on_two_nodes_is_not_a_team_of_one() {
-        // One thread, but chunks placed on two nodes: the caller runs them
-        // all through the dispatch path, migrating node 1's tail.
+    #[should_panic(expected = "every node that holds chunks needs an active core")]
+    fn fewer_threads_than_mask_nodes_is_rejected() {
         let p = pool(presets::tiny_2x4());
         let mode = ExecMode::Hierarchical {
+            mask: p.topology().all_nodes(),
+            threads: 1,
+            strict_fraction: 1.0,
+            policy: StealPolicy::Strict,
+        };
+        p.taskloop(0..400, 4, mode, |_| {});
+    }
+
+    #[test]
+    fn the_inline_path_rejects_it_too_and_the_pool_stays_whole() {
+        let p = pool(presets::tiny_2x4());
+        let one_thread_two_nodes = ExecMode::Hierarchical {
             mask: p.topology().all_nodes(),
             threads: 1,
             strict_fraction: 0.0,
             policy: StealPolicy::Full,
         };
-        let before = wakeups(&p);
-        let report = p.taskloop(0..400, 4, mode, |_| {});
-        assert_eq!(report.threads, 1);
+        let rejected = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            p.taskloop(0..8, 4, one_thread_two_nodes, |_| {});
+        }));
+        assert!(rejected.is_err(), "an inline-sized loop slipped through");
+        let count = AtomicUsize::new(0);
+        let all = ExecMode::Hierarchical {
+            mask: p.topology().all_nodes(),
+            threads: 0,
+            strict_fraction: 1.0,
+            policy: StealPolicy::Strict,
+        };
+        let report = p.taskloop(0..400, 4, all, |r| {
+            count.fetch_add(r.len(), Ordering::Relaxed);
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 400);
         assert_eq!(report.tasks_executed(), 100);
-        assert_eq!(report.migrations, 50);
-        assert_eq!(p.metrics().unwrap().loops_dispatched.get(), 1);
-        assert_eq!(wakeups(&p), before);
     }
 
     /// Checks that the caller's chunks are exactly the ones on `slot`'s
@@ -2586,39 +2555,6 @@ mod tests {
             }
             assert_caller_owns_ring(&log, slot, &caller_chunks);
         }
-    }
-
-    #[test]
-    fn broadcast_wake_mode_is_equivalent() {
-        let p = ThreadPool::new(
-            PoolConfig::new(presets::tiny_2x4())
-                .pin(PinMode::Never)
-                .wake(WakeMode::Broadcast),
-        )
-        .unwrap();
-        let flags: Vec<AtomicUsize> = (0..500).map(|_| AtomicUsize::new(0)).collect();
-        let report = p.taskloop(0..500, 5, ExecMode::Flat, |r| {
-            for i in r {
-                flags[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
-        assert_eq!(report.tasks_executed(), 100);
-        assert_eq!(report.threads, 8);
-        // A masked loop under broadcast: non-participants wake but stay out.
-        let count = AtomicUsize::new(0);
-        let mode = ExecMode::Hierarchical {
-            mask: NodeMask::first_n(1),
-            threads: 2,
-            strict_fraction: 1.0,
-            policy: StealPolicy::Strict,
-        };
-        let report = p.taskloop(0..100, 5, mode, |r| {
-            count.fetch_add(r.len(), Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 100);
-        assert_eq!(report.threads, 2);
-        assert_eq!(report.nodes[1].tasks, 0);
     }
 
     #[test]

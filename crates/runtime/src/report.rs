@@ -25,7 +25,7 @@ pub struct NodeReport {
 pub struct LoopReport {
     /// Dispatch-to-barrier wall time.
     pub makespan: Duration,
-    /// Accumulated scheduler time across workers: queue operations, steal
+    /// Accumulated scheduler time across workers: cursor claims, steal
     /// attempts, dispatch and completion bookkeeping.
     pub sched_overhead: Duration,
     /// Per-node statistics, indexed by node id.

@@ -44,7 +44,7 @@ pub(crate) fn thread_current() -> Thread {
 /// `yield_now`, and reports completion so callers can escalate to parking.
 /// Replaces the raw `spin_loop` retry loops the runtime used to run —
 /// unbounded spinning burns the very cores the loop body needs, which on
-/// an oversubscribed machine turns nanoseconds of queue contention into
+/// an oversubscribed machine turns nanoseconds of contention into
 /// milliseconds of scheduler thrash.
 pub(crate) struct Backoff {
     step: u32,
@@ -177,7 +177,7 @@ impl SleepSlot {
     }
 }
 
-/// Exhaustive model of the eventcount protocol under `WakeMode::Targeted`.
+/// Exhaustive model of the eventcount protocol under targeted wakeups.
 ///
 /// Run with `RUSTFLAGS="--cfg loom" cargo test -p ilan-runtime loom_model`.
 /// The model is the exact code production uses — `post` racing `wait` —
@@ -197,7 +197,7 @@ mod loom_model {
                 s2.register(thread_current());
                 s2.wait(0)
             });
-            // The dispatcher side of WakeMode::Targeted: publish the new
+            // The dispatcher side of a targeted wakeup: publish the new
             // epoch, then wake the worker iff it already parked.
             slot.post(1);
             assert_eq!(waiter.join().unwrap(), 1);

@@ -2,7 +2,7 @@
 //!
 //! The dispatch arena exists so that a warm `taskloop` — one whose pool has
 //! already executed a loop of the same shape — performs **no heap
-//! allocation** on the dispatching thread: chunk table, injectors, sleep
+//! allocation** on the dispatching thread: chunk table, cursors, sleep
 //! tokens, latch and report are all reused. This test installs a counting
 //! global allocator and proves it.
 //!
@@ -10,7 +10,7 @@
 //! never allocates): worker threads may allocate freely without tripping the
 //! assertion, but the dispatch path runs on this test's thread and must stay
 //! clean — including the chunks this thread executes as the primary thread
-//! of each team (its pops, batch steals and remote sweeps).
+//! of each team (its cursor claims and remote steal sweeps).
 
 use ilan_runtime::{ExecMode, Grain, LoopReport, PinMode, PoolConfig, StealPolicy, ThreadPool};
 use ilan_topology::presets;
@@ -89,7 +89,7 @@ fn warm_taskloop_dispatch_path_does_not_allocate() {
             policy: StealPolicy::Full,
         },
         // One worker per node: the dispatcher works node 0's share itself,
-        // stealing across nodes once its own queues run dry.
+        // stealing across nodes once its own cursor runs dry.
         ExecMode::Hierarchical {
             mask,
             threads: 2,
@@ -103,7 +103,7 @@ fn warm_taskloop_dispatch_path_does_not_allocate() {
     };
 
     // Warm-up: every mode once, same loop shape as the measured runs, so
-    // the arena's chunk table, injector rings and report vectors reach
+    // the arena's chunk table, trace rings and report vectors reach
     // their steady-state capacity.
     for mode in &modes {
         p.taskloop_into(0..4096, Grain::Size(16), mode.clone(), body, &mut report);

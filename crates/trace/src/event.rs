@@ -50,12 +50,15 @@ pub enum EventKind {
         /// Whether the chunk is NUMA-strict.
         strict: bool,
     },
-    /// A worker took a chunk that lives on its own node from a local queue.
+    /// A worker took a chunk that lives on its own node from its node's
+    /// work (the native pool: its node's cursor).
     LocalPop {
         /// Chunk index.
         chunk: u32,
     },
-    /// A worker took a same-node chunk from a same-node peer's deque.
+    /// A worker took a same-node chunk from a same-node peer's deque. Only
+    /// the simulator emits it; the native pool's workers share their node's
+    /// cursor, so a same-node claim there is a [`LocalPop`](Self::LocalPop).
     IntraNodeSteal {
         /// Chunk index.
         chunk: u32,

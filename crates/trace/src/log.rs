@@ -75,7 +75,7 @@ impl EventLog {
             .count()
     }
 
-    /// Number of intra-node (peer-deque) steal events.
+    /// Number of intra-node (peer-deque) steal events (simulator only).
     pub fn intra_node_steals(&self) -> usize {
         self.events
             .iter()
