@@ -79,7 +79,7 @@ mod plan;
 mod rates;
 mod task;
 
-pub use colo::ColoMachine;
+pub use colo::{ColoMachine, EventCounts};
 pub use machine::SimMachine;
 pub use metrics::SimMetrics;
 pub use noise::NoiseParams;

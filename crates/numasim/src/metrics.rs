@@ -18,7 +18,11 @@
 //! | `node_tasks` | counter (`node`, `locality`=`local`/`remote`) | chunks per lane by locality outcome |
 //! | `node_busy_ns` | counter (`node`) | busy time per lane, ns |
 //! | `dram_bytes` | counter | DRAM traffic after L3 discounts |
+//! | `events` | counter | simulator events processed |
+//! | `chunk_events` | counter | running chunks summed over events (the re-pricings a full pass per event would do) |
+//! | `repriced_chunks` | counter | chunk re-pricings done |
 
+use crate::colo::EventCounts;
 use crate::outcome::LoopOutcome;
 use ilan_metrics::{Counter, Histogram, Registry};
 
@@ -32,6 +36,9 @@ pub struct SimMetrics {
     sched_overhead_ns: Histogram,
     migrations: Counter,
     dram_bytes: Counter,
+    events: Counter,
+    chunk_events: Counter,
+    repriced_chunks: Counter,
 }
 
 impl SimMetrics {
@@ -54,6 +61,15 @@ impl SimMetrics {
             dram_bytes: registry.counter(
                 "ilan_sim_dram_bytes",
                 "DRAM traffic after L3 reuse discounts, bytes",
+            ),
+            events: registry.counter("ilan_sim_events", "Simulator events processed"),
+            chunk_events: registry.counter(
+                "ilan_sim_chunk_events",
+                "Running chunks summed over simulator events",
+            ),
+            repriced_chunks: registry.counter(
+                "ilan_sim_repriced_chunks",
+                "Chunk re-pricings done by the simulator",
             ),
             registry,
         }
@@ -78,7 +94,8 @@ impl SimMetrics {
         self.sched_overhead_ns
             .record(outcome.sched_overhead_ns.max(0.0) as u64);
         self.migrations.add(outcome.migrations as u64);
-        self.dram_bytes.add(outcome.total_dram_bytes().max(0.0) as u64);
+        self.dram_bytes
+            .add(outcome.total_dram_bytes().max(0.0) as u64);
         for (i, node) in outcome.nodes.iter().enumerate() {
             if node.tasks == 0 && node.busy_ns == 0.0 {
                 continue;
@@ -101,6 +118,16 @@ impl SimMetrics {
                 )
                 .add(node.busy_ns.max(0.0) as u64);
         }
+    }
+}
+
+impl SimMetrics {
+    /// Folds one invocation's engine work (the machine's
+    /// [`EventCounts`] delta) into the series.
+    pub fn record_events(&self, delta: EventCounts) {
+        self.events.add(delta.events);
+        self.chunk_events.add(delta.chunk_events);
+        self.repriced_chunks.add(delta.repriced_chunks);
     }
 }
 
