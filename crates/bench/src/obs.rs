@@ -20,7 +20,7 @@
 //! `within_budget` verdict but the exit status never fails on it.
 
 use ilan_runtime::metrics_core::FlightReason;
-use ilan_runtime::{ExecMode, Grain, LoopReport, PinMode, PoolConfig, StealPolicy, ThreadPool};
+use ilan_runtime::{ExecMode, LoopReport, PinMode, PoolConfig, StealPolicy, ThreadPool};
 use ilan_topology::presets;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -96,7 +96,7 @@ fn time_paired(
     let mut report = LoopReport::default();
     let mut one = |pool: &ThreadPool| {
         let t = Instant::now();
-        pool.taskloop_into(0..len, Grain::Size(1), mode.clone(), body, &mut report);
+        pool.taskloop_into(0..len, 1, mode.clone(), body, &mut report);
         t.elapsed().as_nanos() as u64
     };
     // Warm-up both pools to their arena steady state before the clock counts.

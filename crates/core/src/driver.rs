@@ -18,7 +18,7 @@ use crate::policy::Policy;
 use crate::report::TaskloopReport;
 use crate::site::SiteId;
 use ilan_numasim::{NodeAssignment, PlacementPlan, SimMachine, TaskSpec};
-use ilan_runtime::{ChunkAssignment, StealPolicy, ThreadPool};
+use ilan_runtime::{strict_count, ChunkAssignment, ThreadPool};
 use ilan_topology::{CpuSet, NodeMask, Topology};
 use std::ops::Range;
 
@@ -49,18 +49,10 @@ pub fn build_plan(decision: &Decision, num_tasks: usize) -> PlacementPlan {
             let assignments = assignment
                 .per_node()
                 .into_iter()
-                .map(|(node, tasks)| {
-                    let strict_count = match steal {
-                        StealPolicy::Strict => tasks.len(),
-                        StealPolicy::Full => {
-                            ((tasks.len() as f64) * strict_fraction).round() as usize
-                        }
-                    };
-                    NodeAssignment {
-                        node,
-                        tasks,
-                        strict_count,
-                    }
+                .map(|(node, tasks)| NodeAssignment {
+                    node,
+                    strict_count: strict_count(tasks.len(), *steal, *strict_fraction),
+                    tasks,
                 })
                 .collect();
             PlacementPlan::Hierarchical { assignments }
@@ -137,7 +129,7 @@ mod tests {
     use crate::policy::{BaselinePolicy, WorkSharingPolicy};
     use crate::scheduler::{IlanParams, IlanScheduler};
     use ilan_numasim::{Locality, MachineParams};
-    use ilan_runtime::{PinMode, PoolConfig};
+    use ilan_runtime::{PinMode, PoolConfig, StealPolicy};
     use ilan_topology::{presets, NodeId};
     use std::sync::atomic::{AtomicUsize, Ordering};
 

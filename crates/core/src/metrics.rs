@@ -194,12 +194,11 @@ mod tests {
         m.note_invocation(SiteId::new(7), 16, 2_000_000.0);
         m.note_invocation(SiteId::new(8), 64, 500_000.0);
         let snap = m.registry().snapshot();
-        let hist = |site: &str| match snap
-            .get_with("ilan_sched_decision_threads", &[("site", site)])
-        {
-            Some(SampleValue::Histogram(h)) => h.clone(),
-            other => panic!("expected histogram for {site}, got {other:?}"),
-        };
+        let hist =
+            |site: &str| match snap.get_with("ilan_sched_decision_threads", &[("site", site)]) {
+                Some(SampleValue::Histogram(h)) => h.clone(),
+                other => panic!("expected histogram for {site}, got {other:?}"),
+            };
         assert_eq!(hist("site7").count, 2);
         assert_eq!(hist("site8").count, 1);
         assert_eq!(hist("site8").sum, 64);

@@ -813,9 +813,7 @@ mod tests {
         // The warm site's first decide is already a hit.
         warm.decide(SITE);
         assert_eq!(
-            wm.registry()
-                .snapshot()
-                .counter_total("ilan_sched_decide"),
+            wm.registry().snapshot().counter_total("ilan_sched_decide"),
             1
         );
         match wm

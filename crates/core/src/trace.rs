@@ -183,17 +183,15 @@ mod tests {
         for s in [0u64, 1] {
             let site = SiteId::new(s);
             let label = site.to_string();
-            let hist = match snap
-                .get_with("ilan_sched_decision_threads", &[("site", label.as_str())])
-            {
-                Some(SampleValue::Histogram(h)) => h,
-                other => panic!("{site}: {other:?}"),
-            };
+            let hist =
+                match snap.get_with("ilan_sched_decision_threads", &[("site", label.as_str())]) {
+                    Some(SampleValue::Histogram(h)) => h,
+                    other => panic!("{site}: {other:?}"),
+                };
             assert_eq!(hist.count, p.entries_for(site).count() as u64);
             let traj_sum: usize = p.thread_trajectory(site).iter().sum();
             assert_eq!(hist.sum, traj_sum as u64, "{site} thread sums differ");
-            let times = match snap
-                .get_with("ilan_sched_invocation_ns", &[("site", label.as_str())])
+            let times = match snap.get_with("ilan_sched_invocation_ns", &[("site", label.as_str())])
             {
                 Some(SampleValue::Histogram(h)) => h,
                 other => panic!("{site}: {other:?}"),

@@ -94,7 +94,9 @@ impl ShardedCounter {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1);
         ShardedCounter {
-            shards: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
+            shards: (0..n)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
         }
     }
 

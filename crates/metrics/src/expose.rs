@@ -28,7 +28,9 @@ fn label_block(labels: &[(String, String)], extra: Option<(&str, String)>) -> St
 }
 
 fn escape(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn render_histogram(out: &mut String, key: &SeriesKey, h: &HistSnapshot) {

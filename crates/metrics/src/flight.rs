@@ -51,7 +51,10 @@ impl std::fmt::Display for FlightReason {
             FlightReason::TailBreach {
                 observed_ns,
                 threshold_ns,
-            } => write!(f, "tail-breach observed={observed_ns}ns threshold={threshold_ns}ns"),
+            } => write!(
+                f,
+                "tail-breach observed={observed_ns}ns threshold={threshold_ns}ns"
+            ),
         }
     }
 }
@@ -134,7 +137,10 @@ impl FlightRecorder {
 
     /// Whether a dump is parked.
     pub fn has_dump(&self) -> bool {
-        self.slot.lock().expect("flight recorder poisoned").is_some()
+        self.slot
+            .lock()
+            .expect("flight recorder poisoned")
+            .is_some()
     }
 
     /// Takes the parked dump, re-arming the recorder for the next anomaly.

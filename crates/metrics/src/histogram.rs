@@ -185,7 +185,10 @@ impl HistSnapshot {
     /// The merged distribution of `self` and `other`.
     pub fn merge(&self, other: &HistSnapshot) -> HistSnapshot {
         let mut buckets = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (self.buckets.iter().peekable(), other.buckets.iter().peekable());
+        let (mut a, mut b) = (
+            self.buckets.iter().peekable(),
+            other.buckets.iter().peekable(),
+        );
         loop {
             match (a.peek(), b.peek()) {
                 (Some(&&(ia, na)), Some(&&(ib, nb))) => {
@@ -252,7 +255,9 @@ impl HistSnapshot {
             }
         }
         // Unreachable when counts are consistent; defensive for deltas.
-        self.buckets.last().map_or(0, |&(i, _)| bucket_bounds(i as usize).1)
+        self.buckets
+            .last()
+            .map_or(0, |&(i, _)| bucket_bounds(i as usize).1)
     }
 
     /// Mean of recorded values, or 0.0 when empty.
@@ -302,7 +307,10 @@ mod tests {
         for v in [100u64, 1_000, 123_456, 5_000_000_000] {
             let (lo, hi) = bucket_bounds(bucket_index(v));
             assert!((lo..=hi).contains(&v));
-            assert!((hi - lo) as f64 <= v as f64 / 16.0 + 1.0, "bucket too wide at {v}");
+            assert!(
+                (hi - lo) as f64 <= v as f64 / 16.0 + 1.0,
+                "bucket too wide at {v}"
+            );
         }
     }
 

@@ -109,16 +109,22 @@ impl Registry {
         unwrap: impl FnOnce(&Instrument) -> Option<T>,
     ) -> T {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.families.entry(key.name.clone()).or_insert_with(|| FamilyMeta {
-            help: help.to_string(),
-            kind: MetricKind::Counter, // fixed up below from the instrument
-        });
+        inner
+            .families
+            .entry(key.name.clone())
+            .or_insert_with(|| FamilyMeta {
+                help: help.to_string(),
+                kind: MetricKind::Counter, // fixed up below from the instrument
+            });
         let slot = inner.series.entry(key.clone()).or_insert_with(make);
         let kind = slot.kind();
-        let got = unwrap(slot).unwrap_or_else(|| {
-            panic!("metric {:?} re-registered with a different kind", key.name)
-        });
-        inner.families.get_mut(&key.name).expect("family just inserted").kind = kind;
+        let got = unwrap(slot)
+            .unwrap_or_else(|| panic!("metric {:?} re-registered with a different kind", key.name));
+        inner
+            .families
+            .get_mut(&key.name)
+            .expect("family just inserted")
+            .kind = kind;
         got
     }
 

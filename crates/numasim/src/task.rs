@@ -120,12 +120,15 @@ impl TaskSpec {
             "mem_bytes must be finite and non-negative"
         );
         assert!(
-            self.compute_ns > 0.0 || self.mem_bytes > 0.0,
-            "task must have some work"
-        );
-        assert!(
             (0.0..=1.0).contains(&self.cache_reuse),
             "cache_reuse must be in [0,1]"
+        );
+        // Checked at the home node, where the L3 discount can take every
+        // byte away: a chunk with no work there would be priced at an
+        // infinite rate and never complete.
+        assert!(
+            self.compute_ns > 0.0 || self.effective_bytes(self.home_node) > 0.0,
+            "task must have some work at its home node"
         );
         if let Locality::Scattered { spread } = self.locality {
             assert!((0.0..=1.0).contains(&spread), "spread must be in [0,1]");
@@ -228,6 +231,15 @@ mod tests {
         let mut s = spec(Locality::Chunked);
         s.compute_ns = 0.0;
         s.mem_bytes = 0.0;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "some work at its home node")]
+    fn validate_rejects_task_whose_bytes_all_hit_l3_at_home() {
+        let mut s = spec(Locality::Chunked);
+        s.compute_ns = 0.0;
+        s.cache_reuse = 1.0;
         s.validate();
     }
 

@@ -10,49 +10,6 @@
 use ilan_topology::{NodeId, NodeMask};
 use std::ops::Range;
 
-/// How a taskloop's iteration space is partitioned into chunks — the
-/// OpenMP `grainsize` / `num_tasks` clauses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Grain {
-    /// At most this many iterations per chunk (`grainsize(n)`).
-    Size(usize),
-    /// Split into (up to) this many chunks (`num_tasks(n)`).
-    Count(usize),
-    /// Implementation default: roughly four chunks per worker, so stealing
-    /// has slack without drowning in per-task overhead.
-    #[default]
-    Auto,
-}
-
-/// Minimum iterations an [`Grain::Auto`] chunk targets. Loops too small to
-/// give every worker four chunks of this size get fewer chunks instead of
-/// single-iteration ones: a tiny loop split into `len` one-iteration tasks
-/// spends more time in the scheduler than in its body.
-const AUTO_MIN_CHUNK_ITERS: usize = 4;
-
-impl Grain {
-    /// Resolves to a concrete grainsize for a loop of `len` iterations on
-    /// `workers` workers. Always at least 1.
-    ///
-    /// `Auto` targets four chunks per worker, clamped so chunks keep at
-    /// least `AUTO_MIN_CHUNK_ITERS` (4) iterations (save a smaller final
-    /// remainder): the chunk count never exceeds `⌈len/4⌉`, and therefore
-    /// never exceeds `len`. Previously `len < 4·workers` resolved to
-    /// grainsize 1 and `len` single-iteration tasks.
-    pub fn resolve(self, len: usize, workers: usize) -> usize {
-        match self {
-            Grain::Size(g) => g.max(1),
-            Grain::Count(n) => len.div_ceil(n.max(1)).max(1),
-            Grain::Auto => {
-                let target_chunks = len
-                    .div_ceil(AUTO_MIN_CHUNK_ITERS)
-                    .clamp(1, 4 * workers.max(1));
-                len.div_ceil(target_chunks).max(1)
-            }
-        }
-    }
-}
-
 /// Splits `range` into chunks of at most `grainsize` iterations.
 ///
 /// Every iteration appears in exactly one chunk; chunks are in ascending
@@ -136,64 +93,6 @@ impl ChunkAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grain_size_resolves_directly() {
-        assert_eq!(Grain::Size(16).resolve(1000, 8), 16);
-        assert_eq!(Grain::Size(0).resolve(1000, 8), 1);
-    }
-
-    #[test]
-    fn grain_count_splits_evenly() {
-        // 100 iterations in 8 chunks → grainsize 13 → 8 chunks (7×13 + 9).
-        let g = Grain::Count(8).resolve(100, 4);
-        assert_eq!(g, 13);
-        assert_eq!(chunk_ranges(0..100, g).len(), 8);
-        // More requested chunks than iterations → one-iteration chunks.
-        assert_eq!(Grain::Count(500).resolve(100, 4), 1);
-        assert_eq!(Grain::Count(0).resolve(100, 4), 100);
-    }
-
-    #[test]
-    fn grain_auto_targets_four_per_worker() {
-        let g = Grain::Auto.resolve(6400, 8);
-        let chunks = chunk_ranges(0..6400, g).len();
-        assert_eq!(chunks, 32);
-        // Degenerate inputs stay sane.
-        assert_eq!(Grain::Auto.resolve(1, 64), 1);
-        assert_eq!(Grain::Auto.resolve(0, 0).max(1), 1);
-    }
-
-    #[test]
-    fn grain_auto_tiny_loops_do_not_drown_in_tasks() {
-        // Regression: len < 4·workers used to resolve to grainsize 1 and
-        // `len` single-iteration tasks. Now chunks keep ≥ 4 iterations.
-        let workers = 8;
-        for len in [1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 33, 63, 64, 127] {
-            let g = Grain::Auto.resolve(len, workers);
-            let chunks = chunk_ranges(0..len, g).len();
-            assert!(chunks <= len, "len={len}: {chunks} chunks > len");
-            assert!(
-                chunks <= len.div_ceil(4).max(1),
-                "len={len}: {chunks} chunks of grain {g} drown the loop"
-            );
-            assert!(
-                chunks <= 4 * workers,
-                "len={len}: {chunks} chunks exceed 4 per worker"
-            );
-        }
-        // Exact boundaries around len == 4·workers == 32.
-        assert_eq!(Grain::Auto.resolve(31, 8), 4); // 8 chunks
-        assert_eq!(Grain::Auto.resolve(32, 8), 4); // 8 chunks
-        assert_eq!(Grain::Auto.resolve(33, 8), 4); // 9 chunks
-        assert_eq!(Grain::Auto.resolve(128, 8), 4); // 32 chunks, full fan-out
-        assert_eq!(Grain::Auto.resolve(129, 8), 5); // count capped at 4·workers
-                                                    // Large loops keep the classic four-chunks-per-worker target.
-        assert_eq!(
-            chunk_ranges(0..6400, Grain::Auto.resolve(6400, 8)).len(),
-            32
-        );
-    }
 
     #[test]
     fn chunks_of_rank_matches_per_node() {

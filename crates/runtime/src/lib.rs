@@ -17,11 +17,23 @@
 //!   - [`ExecMode::WorkSharing`] — OpenMP `for schedule(static)`: fixed
 //!     contiguous slices per worker, no queues, no stealing.
 //!
+//! A loop runs through one of three entry points — [`ThreadPool::taskloop`],
+//! [`ThreadPool::taskloop_into`] (reusing the caller's report) and
+//! [`ThreadPool::taskloop_traced`] (returning the event log) — each taking
+//! a plain `grainsize`. A dispatched invocation is four phases of the
+//! dispatcher: fill the arena, post the wakeups, wait (working its own
+//! slot), collect.
+//!
 //! The runtime reports per-invocation statistics ([`LoopReport`]) — makespan,
 //! per-node busy time, scheduling overhead, migrations — which is exactly the
-//! feedback ILAN's Performance Trace Table consumes. The policy side
-//! (choosing thread counts, node masks and steal policies) lives in the
-//! `ilan` crate; this crate only executes.
+//! feedback ILAN's Performance Trace Table consumes. Each chunk is counted
+//! once, when it is acquired: a local pop on its home node or an
+//! inter-node steal. The report and the acquisition counters of
+//! [`PoolMetrics`] both derive from that one tally. The placement rules
+//! the scheduler's simulator driver shares with the pool are
+//! [`active_cores`], [`ChunkAssignment`] and [`strict_count`]. The policy
+//! side (choosing thread counts, node masks and steal policies) lives in
+//! the `ilan` crate; this crate only executes.
 //!
 //! # Example
 //!
@@ -50,11 +62,11 @@ mod pool;
 mod report;
 mod sleep;
 
-pub use chunk::{chunk_ranges, ChunkAssignment, Grain};
+pub use chunk::{chunk_ranges, ChunkAssignment};
 pub use metrics::{PoolMetrics, TAIL_FACTOR, TAIL_MIN_SAMPLES};
 pub use pin::{pin_current_thread, PinMode};
 pub use pool::{
-    active_cores, ExecMode, PoolConfig, PoolError, StealPolicy, ThreadPool,
+    active_cores, strict_count, ExecMode, PoolConfig, PoolError, StealPolicy, ThreadPool,
     DEFAULT_INLINE_THRESHOLD, DEFAULT_WATCHDOG,
 };
 pub use report::{LoopReport, NodeReport};

@@ -8,7 +8,8 @@
 //! Cost discipline: workers accumulate into their private `WorkerTally` and
 //! flush once per invocation into per-worker sharded counters (relaxed
 //! stores, closed by the exit-latch edge); the dispatcher records a handful
-//! of counters and two histogram samples per dispatched invocation. Nothing
+//! of counters and two histogram samples per dispatched invocation, the
+//! acquisition counters among them, read off the finished report. Nothing
 //! here allocates on the warm dispatch path — the zero-allocation test
 //! covers a metrics-on pool.
 
@@ -47,8 +48,8 @@ pub struct PoolMetrics {
     pub(crate) loop_ns: Histogram,
     pub(crate) wakeups: Counter,
     pub(crate) park_ns: Histogram,
-    pub(crate) acq_local_pop: ShardedCounter,
-    pub(crate) acq_inter_steal: ShardedCounter,
+    pub(crate) acq_local_pop: Counter,
+    pub(crate) acq_inter_steal: Counter,
     pub(crate) steal_attempts_local: ShardedCounter,
     pub(crate) steal_attempts_remote: ShardedCounter,
     pub(crate) steal_hits_local: ShardedCounter,
@@ -69,11 +70,10 @@ impl PoolMetrics {
             "Dispatched taskloop invocation makespan, ns",
         );
         let acq = |kind: &str| {
-            r.sharded_counter_with(
+            r.counter_with(
                 "ilan_pool_acquisitions",
                 "Chunk acquisitions by locality outcome",
                 &[("kind", kind)],
-                workers,
             )
         };
         let steal = |name: &str, help: &str, scope: &str| {

@@ -64,8 +64,28 @@
 //! 4. the dispatcher blocks on the exit latch before touching the arena
 //!    again (the latch decrement/`wait` pair is the closing AcqRel edge, so
 //!    workers may flush their statistics with relaxed stores).
+//!
+//! # Phases
+//!
+//! A dispatched invocation is four steps of the dispatcher: **fill** the
+//! arena (chunk table, cursors, team, trace rings), **post** the epoch
+//! tokens, **wait** (work its own slot, then block on the exit latch under
+//! the watchdog), and **collect** the report, the metrics and the trace.
+//!
+//! # Accounting
+//!
+//! Every chunk runs through one executor, [`execute_chunk`], which counts
+//! it once: as a local pop when it runs on its home node, as an inter-node
+//! steal (one migration) otherwise. A team member keeps that count in its
+//! private `WorkerTally` and flushes it into its node's counters once per
+//! invocation. The [`LoopReport`] is read from those counters alone —
+//! `tasks` is pops plus steals, `local_tasks` the pops, `migrations` the
+//! steals — and the dispatcher adds the acquisition counters of
+//! [`PoolMetrics`] from the finished report. The stage-2 drain runs the
+//! same executor on the dispatcher ring, attributing each chunk to its
+//! home node. The trace, when recorded, stays the independent check.
 
-use crate::chunk::{ChunkAssignment, Grain};
+use crate::chunk::ChunkAssignment;
 use crate::latch::CountLatch;
 use crate::metrics::PoolMetrics;
 use crate::pin::{bind_caller, pin_current_thread, PinMode};
@@ -191,16 +211,13 @@ pub struct PoolConfig {
     /// Deterministic fault plan for chaos testing (see `ilan-faults`).
     pub faults: Option<FaultPlan>,
     /// Whether the pool carries its always-on instrument panel
-    /// ([`PoolMetrics`]): counters, histograms and the flight recorder.
-    /// Default `true`; disabling exists for the overhead benchmark's
-    /// metrics-off baseline.
+    /// ([`PoolMetrics`]): counters, histograms and the flight recorder,
+    /// which keeps the per-worker trace rings filled on untraced dispatched
+    /// invocations so an anomaly can dump the complete invocation
+    /// retrospectively (ring writes are its only cost until one fires).
+    /// Default `true`; `repro metrics` turns it off to measure what the
+    /// panel costs.
     pub metrics: bool,
-    /// Whether the flight recorder keeps the per-worker trace rings filled
-    /// on untraced dispatched invocations, so an anomaly can dump the
-    /// complete invocation retrospectively. Default `true`; requires
-    /// [`metrics`](Self::metrics). Ring writes are the only cost until an
-    /// anomaly actually fires.
-    pub flight: bool,
 }
 
 impl PoolConfig {
@@ -214,7 +231,6 @@ impl PoolConfig {
             watchdog: None,
             faults: None,
             metrics: true,
-            flight: true,
         }
     }
 
@@ -243,17 +259,10 @@ impl PoolConfig {
         self
     }
 
-    /// Enables or disables the instrument panel (default on). Disabling
-    /// also disables the flight recorder.
+    /// Enables or disables the instrument panel, flight recorder included
+    /// (default on).
     pub fn metrics(mut self, on: bool) -> Self {
         self.metrics = on;
-        self
-    }
-
-    /// Enables or disables the flight recorder's always-on rings
-    /// (default on).
-    pub fn flight(mut self, on: bool) -> Self {
-        self.flight = on;
         self
     }
 }
@@ -320,6 +329,20 @@ enum Discipline {
     Hier { policy: StealPolicy },
     /// Each worker runs its fixed slice.
     Static,
+}
+
+/// What the post and wait phases saw of one invocation, for `collect`.
+struct Observed {
+    /// Arena fill plus wakeup posting, ns.
+    dispatch_ns: u64,
+    /// Epoch tokens posted.
+    wakeups: u64,
+    /// Fault-plan injections that hit the invocation.
+    faults: u64,
+    /// Watchdog escalation stage reached (0: none).
+    stage: u8,
+    /// Publication of the arena to exit-latch release.
+    makespan: Duration,
 }
 
 /// Largest chunk count a dispatched invocation may have. A claimant that
@@ -399,28 +422,34 @@ impl Cursor {
     }
 }
 
-/// Per-node statistic counters. Each instance is wrapped in `CachePadded`
-/// inside [`Shared::node_stats`] so two nodes' counters never share a cache
-/// line (workers of different nodes would otherwise false-share on flush).
+/// One node's share of the invocation's tally: the chunks its members
+/// acquired locally and by inter-node steal, and their body time. Every
+/// [`NodeReport`] field and the report's migrations derive from these.
+/// Each instance is wrapped in `CachePadded` inside [`Shared::node_stats`]
+/// so two nodes' counters never share a cache line (workers of different
+/// nodes would otherwise false-share on flush).
+#[derive(Default)]
 struct NodeAtomics {
-    tasks: AtomicUsize,
-    local_tasks: AtomicUsize,
+    local_pops: AtomicUsize,
+    inter_steals: AtomicUsize,
     busy_ns: AtomicU64,
 }
 
 impl NodeAtomics {
-    fn new() -> Self {
-        NodeAtomics {
-            tasks: AtomicUsize::new(0),
-            local_tasks: AtomicUsize::new(0),
-            busy_ns: AtomicU64::new(0),
-        }
+    fn reset(&self) {
+        self.local_pops.store(0, Ordering::Relaxed);
+        self.inter_steals.store(0, Ordering::Relaxed);
+        self.busy_ns.store(0, Ordering::Relaxed);
     }
 
-    fn reset(&self) {
-        self.tasks.store(0, Ordering::Relaxed);
-        self.local_tasks.store(0, Ordering::Relaxed);
-        self.busy_ns.store(0, Ordering::Relaxed);
+    /// The node's report, read after the exit latch released.
+    fn report(&self) -> NodeReport {
+        let local_tasks = self.local_pops.load(Ordering::Acquire);
+        NodeReport {
+            tasks: local_tasks + self.inter_steals.load(Ordering::Acquire),
+            local_tasks,
+            busy: Duration::from_nanos(self.busy_ns.load(Ordering::Acquire)),
+        }
     }
 }
 
@@ -453,12 +482,21 @@ struct RunData {
     t0: Instant,
 }
 
+/// The trace ring an event goes to: a team member's slot, or the
+/// dispatcher's own ring (placements, faults, degradation and the stage-2
+/// drain).
+#[derive(Clone, Copy)]
+enum Ring {
+    Worker(usize),
+    Dispatcher,
+}
+
 impl RunData {
-    /// Records a worker event when tracing is on; a single predictable
-    /// branch otherwise.
+    /// Records an event when tracing is on; a single predictable branch
+    /// otherwise.
     #[inline]
-    fn emit(&self, worker: usize, node: NodeId, kind: EventKind) {
-        self.emit_at(worker, node, Instant::now(), kind);
+    fn emit(&self, ring: Ring, node: NodeId, kind: EventKind) {
+        self.emit_at(ring, node, Instant::now(), kind);
     }
 
     /// Like [`emit`](Self::emit), but stamped with an [`Instant`] the caller
@@ -466,10 +504,14 @@ impl RunData {
     /// (chunk timing, acquisition overhead) instead of paying one more per
     /// event.
     #[inline]
-    fn emit_at(&self, worker: usize, node: NodeId, at: Instant, kind: EventKind) {
+    fn emit_at(&self, ring: Ring, node: NodeId, at: Instant, kind: EventKind) {
         if let Some(trace) = &self.trace {
-            trace.ring(worker).push(
-                worker as u32,
+            let (ring, id) = match ring {
+                Ring::Worker(w) => (trace.ring(w), w as u32),
+                Ring::Dispatcher => (trace.dispatcher(), DISPATCHER),
+            };
+            ring.push(
+                id,
                 node.index() as u32,
                 at.duration_since(self.t0).as_nanos() as u64,
                 kind,
@@ -495,9 +537,8 @@ struct Shared {
     cursors: Vec<CachePadded<Cursor>>,
     /// The dispatch arena (see module docs for the access protocol).
     run: UnsafeCell<RunData>,
-    /// Per-node counters, one cache line each.
+    /// Per-node tallies, one cache line each.
     node_stats: Vec<CachePadded<NodeAtomics>>,
-    migrations: CachePadded<AtomicUsize>,
     overhead_ns: CachePadded<AtomicU64>,
     /// Released when every active worker has left the loop; reset by the
     /// dispatcher between invocations.
@@ -514,10 +555,9 @@ struct Shared {
     /// CLAIM_* constants). Only meaningful while the watchdog is armed.
     claims: Vec<ClaimWord>,
     /// The instrument panel; `None` only when `PoolConfig::metrics(false)`.
-    metrics: Option<PoolMetrics>,
-    /// Whether untraced dispatched invocations keep the trace rings filled
+    /// With it, untraced dispatched invocations keep the trace rings filled
     /// for the flight recorder.
-    flight: bool,
+    metrics: Option<PoolMetrics>,
 }
 
 // SAFETY: the `UnsafeCell<RunData>` is governed by the epoch/latch protocol
@@ -588,9 +628,8 @@ impl ThreadPool {
                 t0: Instant::now(),
             }),
             node_stats: (0..num_nodes)
-                .map(|_| CachePadded::new(NodeAtomics::new()))
+                .map(|_| CachePadded::new(NodeAtomics::default()))
                 .collect(),
-            migrations: CachePadded::new(AtomicUsize::new(0)),
             overhead_ns: CachePadded::new(AtomicU64::new(0)),
             exit_latch: CountLatch::new(0),
             panic: Mutex::new(None),
@@ -604,7 +643,6 @@ impl ThreadPool {
             progress: CachePadded::new(AtomicU64::new(0)),
             claims: (0..cores).map(|_| ClaimWord::new(0)).collect(),
             metrics: config.metrics.then(|| PoolMetrics::new(cores)),
-            flight: config.metrics && config.flight,
         });
 
         let pin_results: Arc<Vec<AtomicBool>> =
@@ -695,9 +733,10 @@ impl ThreadPool {
     }
 
     /// Executes a taskloop over `range` with chunks of at most `grainsize`
-    /// iterations, under the given execution mode. Blocks until every chunk
-    /// has executed and all participating workers have quiesced (the
-    /// taskloop's implicit barrier), then returns the invocation report.
+    /// iterations (0 counts as 1), under the given execution mode. Blocks
+    /// until every chunk has executed and all participating workers have
+    /// quiesced (the taskloop's implicit barrier), then returns the
+    /// invocation report.
     ///
     /// # Panics
     /// Re-raises any panic from the body, and panics if a hierarchical mode
@@ -712,42 +751,27 @@ impl ThreadPool {
     where
         F: Fn(Range<usize>) + Sync,
     {
-        self.taskloop_with(range, Grain::Size(grainsize), mode, body)
-    }
-
-    /// Like [`taskloop`](Self::taskloop) with an OpenMP-style [`Grain`]
-    /// specification (`grainsize` / `num_tasks` / implementation default).
-    pub fn taskloop_with<F>(
-        &self,
-        range: Range<usize>,
-        grain: Grain,
-        mode: ExecMode,
-        body: F,
-    ) -> LoopReport
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
         let mut report = LoopReport::default();
-        self.run_loop(range, grain, mode, &body, false, &mut report);
+        self.run_loop(range, grainsize, mode, &body, false, &mut report);
         report
     }
 
-    /// Like [`taskloop_with`](Self::taskloop_with), writing the statistics
-    /// into a caller-provided report instead of returning a fresh one. The
+    /// Like [`taskloop`](Self::taskloop), writing the statistics into a
+    /// caller-provided report instead of returning a fresh one. The
     /// report's node vector is reused (cleared and refilled), so an
     /// iterative caller invoking many loops allocates nothing per
     /// invocation once warm.
     pub fn taskloop_into<F>(
         &self,
         range: Range<usize>,
-        grain: Grain,
+        grainsize: usize,
         mode: ExecMode,
         body: F,
         report: &mut LoopReport,
     ) where
         F: Fn(Range<usize>) + Sync,
     {
-        self.run_loop(range, grain, mode, &body, false, report);
+        self.run_loop(range, grainsize, mode, &body, false, report);
     }
 
     /// Like [`taskloop`](Self::taskloop), additionally recording every
@@ -766,37 +790,22 @@ impl ThreadPool {
     where
         F: Fn(Range<usize>) + Sync,
     {
-        self.taskloop_with_traced(range, Grain::Size(grainsize), mode, body)
-    }
-
-    /// Traced variant of [`taskloop_with`](Self::taskloop_with).
-    pub fn taskloop_with_traced<F>(
-        &self,
-        range: Range<usize>,
-        grain: Grain,
-        mode: ExecMode,
-        body: F,
-    ) -> (LoopReport, EventLog)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
         let mut report = LoopReport::default();
-        let log = self.run_loop(range, grain, mode, &body, true, &mut report);
+        let log = self.run_loop(range, grainsize, mode, &body, true, &mut report);
         (report, log.expect("traced run always yields a log"))
     }
 
     fn run_loop(
         &self,
         range: Range<usize>,
-        grain: Grain,
+        grainsize: usize,
         mode: ExecMode,
         body: &(dyn Fn(Range<usize>) + Sync),
         traced: bool,
         report: &mut LoopReport,
     ) -> Option<EventLog> {
-        let all_workers = self.num_workers();
+        let grainsize = grainsize.max(1);
         let len = range.len();
-        let grainsize = grain.resolve(len, all_workers);
         let num_chunks = len.div_ceil(grainsize);
 
         // Validate hierarchical parameters before choosing a path, so the
@@ -817,7 +826,7 @@ impl ThreadPool {
                 );
                 team.nth(1).is_none()
             }
-            ExecMode::Flat | ExecMode::WorkSharing => all_workers == 1,
+            ExecMode::Flat | ExecMode::WorkSharing => self.num_workers() == 1,
         };
 
         // Sequential inline fast path: a loop too small to amortize a
@@ -838,177 +847,207 @@ impl ThreadPool {
         );
         let _serial = self.dispatch_lock.lock();
         let dispatch_start = Instant::now();
+        let epoch = self.fill(range, grainsize, &mode, body, traced);
+        // Publication: the arena is complete; from here only shared
+        // references exist until the exit latch releases.
+        // SAFETY: `fill`'s `&mut` has ended; workers also only take `&`.
+        let rd = unsafe { &*self.shared.run.get() };
+        let start = Instant::now();
+        let (wakeups, faults) = self.post(rd, epoch);
+        let dispatch_ns = dispatch_start.elapsed().as_nanos() as u64;
+        let stage = self.wait(rd, epoch);
+        let seen = Observed {
+            dispatch_ns,
+            wakeups,
+            faults,
+            stage,
+            makespan: start.elapsed(),
+        };
+        self.collect(seen, traced, report)
+    }
+
+    /// Fill: writes the invocation into the arena — trace rings, chunk
+    /// table, cursors, team, the dispatcher's slot and the body — and
+    /// resets the tallies and the exit latch. Returns the invocation's
+    /// epoch.
+    fn fill(
+        &self,
+        range: Range<usize>,
+        grainsize: usize,
+        mode: &ExecMode,
+        body: &(dyn Fn(Range<usize>) + Sync),
+        traced: bool,
+    ) -> u64 {
         let shared = &*self.shared;
         let topo = &shared.topology;
-        let num_nodes = topo.num_nodes();
+        let all_workers = self.num_workers();
+        let num_chunks = range.len().div_ceil(grainsize);
 
         // Chunks are placed on the mask's nodes in hierarchical mode (that
         // assignment defines a migration, per the paper); on the blocked
         // first-touch layout over all nodes otherwise, so locality
         // statistics are comparable across modes.
-        let home_mask = placement_mask(topo, &mode);
+        let home_mask = placement_mask(topo, mode);
         let assignment = ChunkAssignment::new(home_mask, num_chunks.max(1));
         let epoch = shared.epoch.fetch_add(1, Ordering::Relaxed) + 1;
 
-        {
-            // SAFETY: dispatch lock held, and every worker of the previous
-            // invocation has passed its exit-latch decrement (the previous
-            // run_loop waited on the latch before returning), so no other
-            // thread references the arena.
-            let rd = unsafe { &mut *shared.run.get() };
-            rd.t0 = Instant::now();
+        // SAFETY: dispatch lock held, and every worker of the previous
+        // invocation has passed its exit-latch decrement (the previous
+        // run_loop waited on the latch before returning), so no other
+        // thread references the arena.
+        let rd = unsafe { &mut *shared.run.get() };
+        rd.t0 = Instant::now();
 
-            // Rings are installed for traced runs and — the flight recorder's
-            // always-on stance — for plain dispatched runs too, so an anomaly
-            // can dump the complete invocation it occurred in. The cache
-            // makes warm invocations allocation-free either way.
-            rd.trace = if traced || shared.flight {
-                // Generous ring bounds: a worker emits at most one
-                // acquisition, one start, and one end per chunk, plus its
-                // latch release and a possible steal-refusal marker; the
-                // dispatcher one enqueue per chunk — plus, under an armed
-                // watchdog, fault markers, degradation events and a full
-                // drain (acquire+start+end per chunk) in the worst case.
-                let need_worker = 3 * num_chunks + 8;
-                let need_disp = if shared.watchdog.is_some() {
-                    4 * num_chunks + 2 * all_workers + num_nodes + 8
-                } else {
-                    num_chunks + 4
-                };
-                let mut t = match rd.trace_cache.take() {
-                    Some(t)
-                        if t.num_rings() == all_workers
-                            && t.worker_capacity() >= need_worker
-                            && t.dispatcher_capacity() >= need_disp =>
-                    {
-                        t
-                    }
-                    _ => TraceSet::new(all_workers, need_worker, need_disp),
-                };
-                t.reset();
-                Some(t)
+        // Rings are installed for traced runs and — the flight recorder's
+        // always-on stance — for plain dispatched runs too, so an anomaly
+        // can dump the complete invocation it occurred in. The cache
+        // makes warm invocations allocation-free either way.
+        rd.trace = if traced || shared.metrics.is_some() {
+            // Generous ring bounds: a worker emits at most one
+            // acquisition, one start, and one end per chunk, plus its
+            // latch release and a possible steal-refusal marker; the
+            // dispatcher one enqueue per chunk — plus, under an armed
+            // watchdog, fault markers, degradation events and a full
+            // drain (acquire+start+end per chunk) in the worst case.
+            let need_worker = 3 * num_chunks + 8;
+            let need_disp = if shared.watchdog.is_some() {
+                4 * num_chunks + 2 * all_workers + topo.num_nodes() + 8
             } else {
-                None
+                num_chunks + 4
             };
-
-            rd.chunks.clear();
-            let mut lo = range.start;
-            let mut i = 0usize;
-            while lo < range.end {
-                let hi = (lo + grainsize).min(range.end);
-                rd.chunks.push(Chunk {
-                    range: lo..hi,
-                    home: assignment.node_of_chunk(i),
-                });
-                lo = hi;
-                i += 1;
-            }
-            debug_assert_eq!(rd.chunks.len(), num_chunks);
-
-            rd.active.clear();
-            rd.active.resize(all_workers, false);
-            // Every cursor restarts empty, so a head overshoots by at most
-            // one step per claimant of this invocation (see `MAX_CHUNKS`).
-            for cursor in shared.all_cursors() {
-                debug_assert!(
-                    cursor.is_exhausted(),
-                    "the previous invocation left chunks unclaimed"
-                );
-                cursor.set(0..0);
-            }
-
-            // One timestamp for the whole placement loop: the enqueues span
-            // a few microseconds and ring order already fixes their sequence,
-            // so per-chunk clock reads buy nothing on the dispatch path.
-            let enq_ns = rd.t0.elapsed().as_nanos() as u64;
-            rd.kind = match &mode {
-                ExecMode::Flat => {
-                    rd.active.iter_mut().for_each(|a| *a = true);
-                    shared.flat.set(0..num_chunks);
-                    for (idx, c) in rd.chunks.iter().enumerate() {
-                        emit_enqueue(&rd.trace, enq_ns, idx, c.home, false);
-                    }
-                    Discipline::Flat
+            let mut t = match rd.trace_cache.take() {
+                Some(t)
+                    if t.num_rings() == all_workers
+                        && t.worker_capacity() >= need_worker
+                        && t.dispatcher_capacity() >= need_disp =>
+                {
+                    t
                 }
-                ExecMode::WorkSharing => {
-                    rd.active.iter_mut().for_each(|a| *a = true);
-                    rd.static_slices.clear();
-                    for w in 0..all_workers {
-                        let lo = w * num_chunks / all_workers;
-                        let hi = (w + 1) * num_chunks / all_workers;
-                        rd.static_slices.push(lo..hi);
-                    }
-                    for (idx, c) in rd.chunks.iter().enumerate() {
-                        emit_enqueue(&rd.trace, enq_ns, idx, c.home, false);
-                    }
-                    Discipline::Static
-                }
-                ExecMode::Hierarchical {
-                    mask,
-                    threads,
-                    strict_fraction,
-                    policy,
-                } => {
-                    for core in active_cores(topo, *mask, *threads) {
-                        rd.active[core.index()] = true;
-                    }
-                    // Hand each node its contiguous run of chunks: the first
-                    // `strict_count` stay NUMA-strict, the tail is stealable.
-                    for (rank, node) in mask.iter().enumerate() {
-                        let idxs = assignment.chunks_of_rank(rank);
-                        let strict_count = match policy {
-                            StealPolicy::Strict => idxs.len(),
-                            StealPolicy::Full => {
-                                ((idxs.len() as f64) * strict_fraction).round() as usize
-                            }
-                        };
-                        let strict_end = idxs.start + strict_count;
-                        rd.strict_end[node.index()] = strict_end;
-                        shared.cursors[node.index()].set(idxs.clone());
-                        for idx in idxs {
-                            emit_enqueue(&rd.trace, enq_ns, idx, node, idx < strict_end);
-                        }
-                    }
-                    Discipline::Hier { policy: *policy }
-                }
+                _ => TraceSet::new(all_workers, need_worker, need_disp),
             };
+            t.reset();
+            Some(t)
+        } else {
+            None
+        };
 
-            rd.threads = rd.active.iter().filter(|&&a| a).count();
-            // The dispatcher works the slot of the placement's primary core,
-            // which every mode activates — unless this epoch's plan stalls
-            // that slot or drops its wakeup: the slot then stays with its
-            // worker thread, so each fault hits the thread it was planned for.
-            let slot = topo
-                .primary_core(home_mask.first().expect("validated non-empty"))
-                .index();
-            debug_assert!(rd.active[slot], "the caller's slot must be active");
-            let faulted = shared.faults.as_ref().is_some_and(|p| {
-                p.stall_of(slot as u32).is_some() || p.drops_wakeup(epoch, slot as u32)
+        rd.chunks.clear();
+        let mut lo = range.start;
+        let mut i = 0usize;
+        while lo < range.end {
+            let hi = (lo + grainsize).min(range.end);
+            rd.chunks.push(Chunk {
+                range: lo..hi,
+                home: assignment.node_of_chunk(i),
             });
-            rd.caller = (!faulted).then_some(slot);
-            // SAFETY: lifetime extension only; validity argued on BodyPtr.
-            rd.body = BodyPtr(unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(Range<usize>) + Sync),
-                    *const (dyn Fn(Range<usize>) + Sync),
-                >(body as *const _)
-            });
+            lo = hi;
+            i += 1;
+        }
+        debug_assert_eq!(rd.chunks.len(), num_chunks);
 
-            for s in &shared.node_stats {
-                s.reset();
-            }
-            shared.migrations.store(0, Ordering::Relaxed);
-            shared.overhead_ns.store(0, Ordering::Relaxed);
-            shared.exit_latch.reset(rd.threads);
+        rd.active.clear();
+        rd.active.resize(all_workers, false);
+        // Every cursor restarts empty, so a head overshoots by at most
+        // one step per claimant of this invocation (see `MAX_CHUNKS`).
+        for cursor in shared.all_cursors() {
+            debug_assert!(
+                cursor.is_exhausted(),
+                "the previous invocation left chunks unclaimed"
+            );
+            cursor.set(0..0);
         }
 
-        // Publication: the arena is complete; from here only shared
-        // references exist until the exit latch releases.
-        // SAFETY: the `&mut` above has ended; workers also only take `&`.
-        let rd = unsafe { &*shared.run.get() };
-        let start = Instant::now();
-        let run_token = (epoch << 1) | 1;
-        let idle_token = epoch << 1;
+        rd.kind = match mode {
+            ExecMode::Flat => {
+                rd.active.iter_mut().for_each(|a| *a = true);
+                shared.flat.set(0..num_chunks);
+                Discipline::Flat
+            }
+            ExecMode::WorkSharing => {
+                rd.active.iter_mut().for_each(|a| *a = true);
+                rd.static_slices.clear();
+                for w in 0..all_workers {
+                    let lo = w * num_chunks / all_workers;
+                    let hi = (w + 1) * num_chunks / all_workers;
+                    rd.static_slices.push(lo..hi);
+                }
+                Discipline::Static
+            }
+            ExecMode::Hierarchical {
+                mask,
+                threads,
+                strict_fraction,
+                policy,
+            } => {
+                for core in active_cores(topo, *mask, *threads) {
+                    rd.active[core.index()] = true;
+                }
+                // Hand each node its contiguous run of chunks: the first
+                // `strict_count` stay NUMA-strict, the tail is stealable.
+                for (rank, node) in mask.iter().enumerate() {
+                    let idxs = assignment.chunks_of_rank(rank);
+                    rd.strict_end[node.index()] =
+                        idxs.start + strict_count(idxs.len(), *policy, *strict_fraction);
+                    shared.cursors[node.index()].set(idxs);
+                }
+                Discipline::Hier { policy: *policy }
+            }
+        };
+        if let Some(trace) = &rd.trace {
+            // One timestamp for every placement: the enqueues span a few
+            // microseconds and ring order already fixes their sequence, so
+            // per-chunk clock reads buy nothing on the dispatch path.
+            let at_ns = rd.t0.elapsed().as_nanos() as u64;
+            let ring = trace.dispatcher();
+            let hier = matches!(rd.kind, Discipline::Hier { .. });
+            for (idx, c) in rd.chunks.iter().enumerate() {
+                let home = c.home.index();
+                let enqueue = EventKind::ChunkEnqueue {
+                    chunk: idx as u32,
+                    home: home as u32,
+                    strict: hier && idx < rd.strict_end[home],
+                };
+                ring.push(DISPATCHER, home as u32, at_ns, enqueue);
+            }
+        }
+
+        rd.threads = rd.active.iter().filter(|&&a| a).count();
+        // The dispatcher works the slot of the placement's primary core,
+        // which every mode activates — unless this epoch's plan stalls
+        // that slot or drops its wakeup: the slot then stays with its
+        // worker thread, so each fault hits the thread it was planned for.
+        let slot = topo
+            .primary_core(home_mask.first().expect("validated non-empty"))
+            .index();
+        debug_assert!(rd.active[slot], "the caller's slot must be active");
+        let faulted = shared.faults.as_ref().is_some_and(|p| {
+            p.stall_of(slot as u32).is_some() || p.drops_wakeup(epoch, slot as u32)
+        });
+        rd.caller = (!faulted).then_some(slot);
+        // SAFETY: lifetime extension only; validity argued on BodyPtr.
+        rd.body = BodyPtr(unsafe {
+            std::mem::transmute::<
+                *const (dyn Fn(Range<usize>) + Sync),
+                *const (dyn Fn(Range<usize>) + Sync),
+            >(body as *const _)
+        });
+
+        for s in &shared.node_stats {
+            s.reset();
+        }
+        shared.overhead_ns.store(0, Ordering::Relaxed);
+        shared.exit_latch.reset(rd.threads);
+        epoch
+    }
+
+    /// Post: re-opens the team's claims under an armed watchdog, records
+    /// the fault plan's injections for this invocation, and posts the epoch
+    /// token to every team member but the dispatcher's own slot, skipping
+    /// the wakeups the plan drops. Returns the tokens posted and the faults
+    /// that hit the invocation.
+    fn post(&self, rd: &RunData, epoch: u64) -> (u64, u64) {
+        let shared = &*self.shared;
+        let topo = &shared.topology;
         if shared.watchdog.is_some() {
             // Claim/progress bookkeeping for this epoch. At this point every
             // active worker's claim holds WORKER or DISPATCHER of an older
@@ -1027,111 +1066,115 @@ impl ThreadPool {
         // drops (the watchdog's broadcast escalation repairs those). The
         // count feeds the faults-injected counter and (as an anomaly) the
         // flight recorder, whether or not rings are installed.
-        let mut faults_this_run: u64 = 0;
+        let node_of = |w: usize| topo.node_of_core(CoreId::new(w));
+        let mut faults: u64 = 0;
         if let Some(plan) = &shared.faults {
             for &w in plan.stalls().keys() {
                 if (w as usize) < rd.active.len() && rd.active[w as usize] {
-                    faults_this_run += 1;
-                    if rd.trace.is_some() {
-                        let node = topo.node_of_core(ilan_topology::CoreId::new(w as usize));
-                        emit_dispatcher(
-                            rd,
-                            node.index() as u32,
-                            EventKind::FaultInjected {
-                                fault: FaultTag::WorkerStall,
-                                target: w,
-                            },
-                        );
-                    }
+                    faults += 1;
+                    rd.emit(
+                        Ring::Dispatcher,
+                        node_of(w as usize),
+                        EventKind::FaultInjected {
+                            fault: FaultTag::WorkerStall,
+                            target: w,
+                        },
+                    );
                 }
             }
             for &n in plan.slow_nodes().keys() {
-                if (n as usize) < num_nodes {
-                    faults_this_run += 1;
-                    if rd.trace.is_some() {
-                        emit_dispatcher(
-                            rd,
-                            n,
-                            EventKind::FaultInjected {
-                                fault: FaultTag::SlowNode,
-                                target: n,
-                            },
-                        );
-                    }
+                if (n as usize) < topo.num_nodes() {
+                    faults += 1;
+                    rd.emit(
+                        Ring::Dispatcher,
+                        NodeId::new(n as usize),
+                        EventKind::FaultInjected {
+                            fault: FaultTag::SlowNode,
+                            target: n,
+                        },
+                    );
                 }
             }
         }
-        let drops_wakeup = |i: usize| {
-            shared
+        let run_token = (epoch << 1) | 1;
+        let mut wakeups: u64 = 0;
+        for (i, &a) in rd.active.iter().enumerate() {
+            if !a || rd.caller == Some(i) {
+                continue;
+            }
+            if shared
                 .faults
                 .as_ref()
                 .is_some_and(|p| p.drops_wakeup(epoch, i as u32))
-        };
-        let mut wakeup_posts: u64 = 0;
-        for (i, &a) in rd.active.iter().enumerate() {
-            if a && rd.caller != Some(i) {
-                if drops_wakeup(i) {
-                    faults_this_run += 1;
-                    let node = topo.node_of_core(ilan_topology::CoreId::new(i));
-                    emit_dispatcher(
-                        rd,
-                        node.index() as u32,
-                        EventKind::FaultInjected {
-                            fault: FaultTag::DroppedWakeup,
-                            target: i as u32,
-                        },
-                    );
-                    continue;
-                }
-                shared.slots[i].post(run_token);
-                wakeup_posts += 1;
+            {
+                faults += 1;
+                rd.emit(
+                    Ring::Dispatcher,
+                    node_of(i),
+                    EventKind::FaultInjected {
+                        fault: FaultTag::DroppedWakeup,
+                        target: i as u32,
+                    },
+                );
+                continue;
             }
+            shared.slots[i].post(run_token);
+            wakeups += 1;
         }
-        let dispatch_ns = dispatch_start.elapsed().as_nanos() as u64;
-        // The dispatcher's share, through the same claim a worker makes: a
-        // stage-1 re-post that wakes the slot's thread then finds the slot
-        // taken and stays out.
+        (wakeups, faults)
+    }
+
+    /// Wait: works the dispatcher's slot through the same claim a worker
+    /// makes (a stage-1 re-post that wakes the slot's thread then finds the
+    /// slot taken and stays out), then blocks on the exit latch, under the
+    /// watchdog when one is armed. Returns the escalation stage reached.
+    fn wait(&self, rd: &RunData, epoch: u64) -> u8 {
+        let shared = &*self.shared;
         if let Some(slot) = rd.caller {
             if self.pinned[slot] {
-                bind_caller(ilan_topology::CoreId::new(slot));
+                bind_caller(CoreId::new(slot));
             }
             if shared.watchdog.is_none() || claim(&shared.claims[slot], epoch, CLAIM_WORKER) {
                 participate(shared, slot, None);
             }
         }
-        let degraded_stage = match shared.watchdog {
+        match shared.watchdog {
             None => {
                 shared.exit_latch.wait();
                 0
             }
-            Some(deadline) => guarded_wait(shared, rd, epoch, run_token, idle_token, deadline),
-        };
-        let makespan = start.elapsed();
-
-        if let Some(payload) = shared.panic.lock().take() {
-            std::panic::resume_unwind(payload);
+            Some(deadline) => guarded_wait(shared, rd, epoch, deadline),
         }
+    }
 
-        report.makespan = makespan;
-        report.sched_overhead = Duration::from_nanos(shared.overhead_ns.load(Ordering::Acquire));
+    /// Collect: reads the report off the node tallies, records the
+    /// dispatcher's metrics and hands back the trace: the caller's log when
+    /// traced, a flight dump when an untraced invocation was anomalous.
+    fn collect(&self, seen: Observed, traced: bool, report: &mut LoopReport) -> Option<EventLog> {
+        let shared = &*self.shared;
+        let num_nodes = shared.topology.num_nodes();
+        // SAFETY: all workers have quiesced (the exit latch released), and
+        // the dispatcher's shared reborrow of the arena is dead.
+        let rd = unsafe { &mut *shared.run.get() };
+        rd.body = BodyPtr::noop();
+
         report.nodes.clear();
         report
             .nodes
-            .extend(shared.node_stats.iter().map(|s| NodeReport {
-                tasks: s.tasks.load(Ordering::Acquire),
-                local_tasks: s.local_tasks.load(Ordering::Acquire),
-                busy: Duration::from_nanos(s.busy_ns.load(Ordering::Acquire)),
-            }));
-        report.migrations = shared.migrations.load(Ordering::Acquire);
+            .extend(shared.node_stats.iter().map(|s| s.report()));
+        report.migrations = report.nodes.iter().map(|n| n.tasks - n.local_tasks).sum();
+        if let Some(m) = &shared.metrics {
+            let local_pops: usize = report.nodes.iter().map(|n| n.local_tasks).sum();
+            m.acq_local_pop.add(local_pops as u64);
+            m.acq_inter_steal.add(report.migrations as u64);
+        }
+        if let Some(payload) = shared.panic.lock().take() {
+            std::panic::resume_unwind(payload);
+        }
+        report.makespan = seen.makespan;
+        report.sched_overhead = Duration::from_nanos(shared.overhead_ns.load(Ordering::Acquire));
         report.threads = rd.threads;
-        report.degraded = degraded_stage > 0;
-        // The report's defining relation: a chunk is either local to the
-        // node that ran it or it migrated there, never both, never neither.
-        debug_assert_eq!(
-            report.nodes.iter().map(|n| n.tasks).sum::<usize>(),
-            report.nodes.iter().map(|n| n.local_tasks).sum::<usize>() + report.migrations,
-            "LoopReport inconsistent: tasks != local_tasks + migrations"
-        );
+        report.degraded = seen.stage > 0;
 
         // Dispatcher-side metrics: a few relaxed counter bumps and two
         // histogram samples per dispatched invocation. The tail tracker
@@ -1139,26 +1182,22 @@ impl ThreadPool {
         let mut tail_breach: Option<(u64, u64)> = None;
         if let Some(m) = &shared.metrics {
             m.loops_dispatched.inc();
-            m.dispatch_ns.record(dispatch_ns);
-            m.wakeups.add(wakeup_posts);
-            match degraded_stage {
+            m.dispatch_ns.record(seen.dispatch_ns);
+            m.wakeups.add(seen.wakeups);
+            match seen.stage {
                 1 => m.degraded_stage1.inc(),
                 2 => m.degraded_stage2.inc(),
                 _ => {}
             }
-            if faults_this_run > 0 {
-                m.faults_injected.add(faults_this_run);
+            if seen.faults > 0 {
+                m.faults_injected.add(seen.faults);
             }
-            let mk = makespan.as_nanos() as u64;
+            let mk = seen.makespan.as_nanos() as u64;
             if let Some(threshold_ns) = m.tail.observe(mk) {
                 tail_breach = Some((mk, threshold_ns));
             }
         }
 
-        // SAFETY: all workers have quiesced (latch released above); the
-        // shared reborrow `rd` is dead past this point.
-        let rd = unsafe { &mut *shared.run.get() };
-        rd.body = BodyPtr::noop();
         let collected = rd.trace.take();
         if traced {
             return collected.map(|t| {
@@ -1174,14 +1213,10 @@ impl ThreadPool {
         // a degradation outranks the injected fault that caused it, which
         // outranks a mere slow tail.
         if let Some(m) = &shared.metrics {
-            let reason = if degraded_stage > 0 {
-                Some(FlightReason::Degraded {
-                    stage: degraded_stage,
-                })
-            } else if faults_this_run > 0 {
-                Some(FlightReason::FaultInjected {
-                    count: faults_this_run,
-                })
+            let reason = if seen.stage > 0 {
+                Some(FlightReason::Degraded { stage: seen.stage })
+            } else if seen.faults > 0 {
+                Some(FlightReason::FaultInjected { count: seen.faults })
             } else {
                 tail_breach.map(|(observed_ns, threshold_ns)| FlightReason::TailBreach {
                     observed_ns,
@@ -1294,6 +1329,20 @@ pub fn active_cores(
     })
 }
 
+/// How many of a node's `len` chunks are NUMA-strict: all of them under
+/// [`StealPolicy::Strict`], `len × strict_fraction` rounded to the nearest
+/// under [`StealPolicy::Full`]. The node keeps these first chunks; only the
+/// rest may be stolen.
+///
+/// This is the one strict-count rule: the pool's dispatcher and the
+/// scheduler's simulator driver both call it.
+pub fn strict_count(len: usize, policy: StealPolicy, strict_fraction: f64) -> usize {
+    match policy {
+        StealPolicy::Strict => len,
+        StealPolicy::Full => ((len as f64) * strict_fraction).round() as usize,
+    }
+}
+
 /// Wakes every worker for shutdown: the posted token has the participate
 /// bit clear, so woken workers check the shutdown flag and exit.
 fn shutdown_workers(shared: &Shared) {
@@ -1313,32 +1362,6 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Records one chunk-placement event on the dispatcher ring, if tracing.
-/// `at_ns` is a timestamp the dispatch loop read once for all placements.
-fn emit_enqueue(trace: &Option<TraceSet>, at_ns: u64, chunk: usize, home: NodeId, strict: bool) {
-    if let Some(trace) = trace {
-        trace.dispatcher().push(
-            DISPATCHER,
-            home.index() as u32,
-            at_ns,
-            EventKind::ChunkEnqueue {
-                chunk: chunk as u32,
-                home: home.index() as u32,
-                strict,
-            },
-        );
-    }
-}
-
-/// Records an event on the dispatcher's ring, if tracing.
-fn emit_dispatcher(rd: &RunData, node: u32, kind: EventKind) {
-    if let Some(trace) = &rd.trace {
-        trace
-            .dispatcher()
-            .push(DISPATCHER, node, rd.t0.elapsed().as_nanos() as u64, kind);
-    }
-}
-
 /// Deadline-bounded latch wait with two escalation stages. Returns the
 /// highest escalation stage reached (0 = finished without help).
 ///
@@ -1350,14 +1373,7 @@ fn emit_dispatcher(rd: &RunData, node: u32, kind: EventKind) {
 /// participating and executes their chunks on the dispatcher, counting the
 /// latch down on their behalf, then waits unboundedly for the workers that
 /// did start.
-fn guarded_wait(
-    shared: &Shared,
-    rd: &RunData,
-    epoch: u64,
-    run_token: u64,
-    idle_token: u64,
-    deadline: Duration,
-) -> u8 {
+fn guarded_wait(shared: &Shared, rd: &RunData, epoch: u64, deadline: Duration) -> u8 {
     let mut last_progress = shared.progress.load(Ordering::Relaxed);
     loop {
         if shared.exit_latch.wait_for(deadline) {
@@ -1371,9 +1387,10 @@ fn guarded_wait(
     }
 
     // Stage 1: broadcast re-post.
-    emit_dispatcher(rd, 0, EventKind::Degraded { stage: 1, count: 0 });
+    let degraded = |stage, count| EventKind::Degraded { stage, count };
+    rd.emit(Ring::Dispatcher, NodeId::new(0), degraded(1, 0));
     for (i, &a) in rd.active.iter().enumerate() {
-        shared.slots[i].post(if a { run_token } else { idle_token });
+        shared.slots[i].post((epoch << 1) | u64::from(a));
     }
     let mut last_progress = shared.progress.load(Ordering::Relaxed);
     loop {
@@ -1397,14 +1414,8 @@ fn guarded_wait(
         }
     }
     if !claimed.is_empty() {
-        emit_dispatcher(
-            rd,
-            0,
-            EventKind::Degraded {
-                stage: 2,
-                count: claimed.len() as u32,
-            },
-        );
+        let count = claimed.len() as u32;
+        rd.emit(Ring::Dispatcher, NodeId::new(0), degraded(2, count));
         drain_on_dispatcher(shared, rd, &claimed);
         for _ in &claimed {
             shared.exit_latch.count_down();
@@ -1420,73 +1431,38 @@ fn guarded_wait(
 /// static slices; otherwise the claimed workers own nothing, so the drain
 /// claims from the head of every cursor until each is exhausted — healthy
 /// workers racing it is fine, every claim is exactly-once.
+///
+/// Each chunk runs on the dispatcher ring attributed to its home node: the
+/// drain substitutes for that node's claimed worker, so the chunk counts as
+/// a local pop there and the audit's confinement rules keep holding.
 fn drain_on_dispatcher(shared: &Shared, rd: &RunData, claimed: &[usize]) {
+    let drain = |chunk_idx: usize| {
+        let home = rd.chunks[chunk_idx].home;
+        let mut tally = WorkerTally::default();
+        execute_chunk(
+            shared,
+            rd,
+            chunk_idx,
+            Ring::Dispatcher,
+            home,
+            Instant::now(),
+            &mut tally,
+        );
+        tally.flush(shared, home, 0);
+    };
     if let Discipline::Static = rd.kind {
         for &i in claimed {
             for chunk_idx in rd.static_slices[i].clone() {
-                execute_chunk_on_dispatcher(shared, rd, chunk_idx);
+                drain(chunk_idx);
             }
         }
         return;
     }
     for cursor in shared.all_cursors() {
         while let Some(chunk_idx) = cursor.claim_head() {
-            execute_chunk_on_dispatcher(shared, rd, chunk_idx);
+            drain(chunk_idx);
         }
     }
-}
-
-/// Executes one chunk on the dispatcher, attributed to the chunk's home node
-/// (the drain substitutes for that node's claimed worker, so the chunk
-/// counts as local there and the audit's confinement rules keep holding).
-fn execute_chunk_on_dispatcher(shared: &Shared, rd: &RunData, chunk_idx: usize) {
-    let chunk = &rd.chunks[chunk_idx];
-    let node = chunk.home.index() as u32;
-    if let Some(m) = &shared.metrics {
-        // The drain substitutes for the claimed worker on the chunk's home
-        // node, so the acquisition counts as a local pop — keeping the
-        // counters equal to the trace's steal matrix even in degraded runs.
-        m.acq_local_pop.add(0, 1);
-    }
-    emit_dispatcher(
-        rd,
-        node,
-        EventKind::LocalPop {
-            chunk: chunk_idx as u32,
-        },
-    );
-    emit_dispatcher(
-        rd,
-        node,
-        EventKind::ChunkStart {
-            chunk: chunk_idx as u32,
-        },
-    );
-    let body_start = Instant::now();
-    // SAFETY: same argument as `execute_chunk` — the dispatch call keeps the
-    // body alive until this very function's caller finishes the invocation.
-    let body = unsafe { &*rd.body.0 };
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(chunk.range.clone())));
-    let elapsed = body_start.elapsed();
-    if let Err(payload) = result {
-        let mut slot = shared.panic.lock();
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
-    }
-    let stats = &shared.node_stats[chunk.home.index()];
-    stats.tasks.fetch_add(1, Ordering::Relaxed);
-    stats.local_tasks.fetch_add(1, Ordering::Relaxed);
-    stats
-        .busy_ns
-        .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    emit_dispatcher(
-        rd,
-        node,
-        EventKind::ChunkEnd {
-            chunk: chunk_idx as u32,
-        },
-    );
 }
 
 /// Parks a permanently stalled worker until the dispatcher claims its slot
@@ -1564,28 +1540,26 @@ fn participate(shared: &Shared, index: usize, park_ns: Option<u64>) {
         // exit-latch decrement below.
         let run = unsafe { &*shared.run.get() };
         let done_at = work(shared, run, index, park_ns);
-        let node = shared
-            .topology
-            .node_of_core(ilan_topology::CoreId::new(index));
-        run.emit_at(index, node, done_at, EventKind::LatchRelease);
+        let node = shared.topology.node_of_core(CoreId::new(index));
+        run.emit_at(Ring::Worker(index), node, done_at, EventKind::LatchRelease);
     }
     shared.exit_latch.count_down();
 }
 
-/// Statistics a worker accumulates privately during one invocation and
-/// flushes exactly once at the end — the hot loop touches no shared counter,
-/// so workers never contend (or false-share) on statistics cache lines.
+/// Statistics a team member accumulates privately during one invocation
+/// and flushes exactly once at the end — the hot loop touches no shared
+/// counter, so workers never contend (or false-share) on statistics cache
+/// lines. Each chunk is one acquisition, a local pop or an inter-node
+/// steal; the report derives its task, locality and migration counts from
+/// those two. The probe counts feed only the steal metrics.
 #[derive(Default)]
 struct WorkerTally {
-    tasks: usize,
-    local_tasks: usize,
+    local_pops: usize,
+    inter_steals: usize,
     busy_ns: u64,
-    migrations: usize,
     overhead_ns: u64,
     /// Sleep before this invocation; `None` for the dispatcher.
     park_ns: Option<u64>,
-    local_pops: u64,
-    inter_steals: u64,
     attempts_local: u64,
     attempts_remote: u64,
     hits_local: u64,
@@ -1593,29 +1567,20 @@ struct WorkerTally {
 }
 
 impl WorkerTally {
-    /// Mirrors [`acquisition_kind`]'s classification, so the metrics
-    /// counters and the trace's steal matrix agree by construction.
-    fn count_acquisition(&mut self, migrated: bool) {
-        if migrated {
-            self.inter_steals += 1;
-        } else {
-            self.local_pops += 1;
-        }
-    }
-
-    /// Relaxed stores suffice: the exit-latch decrement (AcqRel) that
-    /// follows the flush is what the dispatcher's latch wait synchronises
-    /// with before reading.
-    fn flush(self, shared: &Shared, my_node: NodeId, worker: usize) {
-        let stats = &shared.node_stats[my_node.index()];
-        stats.tasks.fetch_add(self.tasks, Ordering::Relaxed);
+    /// Adds the tally to `node`'s counters, and its park time and steal
+    /// probes to the metrics (`shard` picks the counters' shard). Relaxed
+    /// stores suffice: the exit-latch decrement (AcqRel) that follows the
+    /// flush is what the dispatcher's latch wait synchronises with before
+    /// reading.
+    fn flush(self, shared: &Shared, node: NodeId, shard: usize) {
+        let stats = &shared.node_stats[node.index()];
         stats
-            .local_tasks
-            .fetch_add(self.local_tasks, Ordering::Relaxed);
+            .local_pops
+            .fetch_add(self.local_pops, Ordering::Relaxed);
+        stats
+            .inter_steals
+            .fetch_add(self.inter_steals, Ordering::Relaxed);
         stats.busy_ns.fetch_add(self.busy_ns, Ordering::Relaxed);
-        shared
-            .migrations
-            .fetch_add(self.migrations, Ordering::Relaxed);
         shared
             .overhead_ns
             .fetch_add(self.overhead_ns, Ordering::Relaxed);
@@ -1623,15 +1588,13 @@ impl WorkerTally {
             if let Some(ns) = self.park_ns {
                 m.park_ns.record(ns);
             }
-            // Zero tallies stay unflushed: on the common no-steal invocation
-            // this is one RMW (the local pops), not six.
+            // Zero tallies stay unflushed: on the common no-steal
+            // invocation this is two RMWs (the local probes), not four.
             let add = |c: &ShardedCounter, n: u64| {
                 if n > 0 {
-                    c.add(worker, n);
+                    c.add(shard, n);
                 }
             };
-            add(&m.acq_local_pop, self.local_pops);
-            add(&m.acq_inter_steal, self.inter_steals);
             add(&m.steal_attempts_local, self.attempts_local);
             add(&m.steal_attempts_remote, self.attempts_remote);
             add(&m.steal_hits_local, self.hits_local);
@@ -1640,26 +1603,33 @@ impl WorkerTally {
     }
 }
 
-/// Executes one chunk and records its statistics into the worker's tally.
+/// The one chunk executor, for team members and the stage-2 drain alike:
+/// counts the acquisition (a local pop when `node` is the chunk's home, an
+/// inter-node steal — one migration — otherwise), runs the body, captures a
+/// panic, and records the acquisition, start and end on `ring`.
+/// `acquired_at` stamps the acquisition event.
 fn execute_chunk(
     shared: &Shared,
     run: &RunData,
     chunk_idx: usize,
-    worker: usize,
-    my_node: NodeId,
-    migrated: bool,
+    ring: Ring,
+    node: NodeId,
+    acquired_at: Instant,
     tally: &mut WorkerTally,
 ) {
     let chunk = &run.chunks[chunk_idx];
+    let idx = chunk_idx as u32;
+    if chunk.home == node {
+        tally.local_pops += 1;
+        run.emit_at(ring, node, acquired_at, EventKind::LocalPop { chunk: idx });
+    } else {
+        tally.inter_steals += 1;
+        let from = chunk.home.index() as u32;
+        let steal = EventKind::InterNodeSteal { chunk: idx, from };
+        run.emit_at(ring, node, acquired_at, steal);
+    }
     let body_start = Instant::now();
-    run.emit_at(
-        worker,
-        my_node,
-        body_start,
-        EventKind::ChunkStart {
-            chunk: chunk_idx as u32,
-        },
-    );
+    run.emit_at(ring, node, body_start, EventKind::ChunkStart { chunk: idx });
     // SAFETY: the dispatcher keeps the body alive until exit_latch releases,
     // which happens after this call returns.
     let body = unsafe { &*run.body.0 };
@@ -1677,7 +1647,7 @@ fn execute_chunk(
     // a degraded memory/compute path. Spinning (not sleeping) keeps the pad
     // precise at microsecond scales.
     if let Some(plan) = &shared.faults {
-        let factor = plan.node_slowdown(my_node.index() as u32);
+        let factor = plan.node_slowdown(node.index() as u32);
         if factor > 1.0 {
             let target = elapsed.mul_f64(factor);
             while body_start.elapsed() < target {
@@ -1688,21 +1658,8 @@ fn execute_chunk(
     }
 
     tally.busy_ns += elapsed.as_nanos() as u64;
-    tally.tasks += 1;
-    if chunk.home == my_node {
-        tally.local_tasks += 1;
-    }
-    if migrated {
-        tally.migrations += 1;
-    }
-    run.emit_at(
-        worker,
-        my_node,
-        body_start + elapsed,
-        EventKind::ChunkEnd {
-            chunk: chunk_idx as u32,
-        },
-    );
+    let end = EventKind::ChunkEnd { chunk: idx };
+    run.emit_at(ring, node, body_start + elapsed, end);
     if shared.watchdog.is_some() {
         // Progress heartbeat: the watchdog re-arms its deadline while this
         // advances, so slow invocations are never mistaken for stalled ones.
@@ -1715,6 +1672,7 @@ fn execute_chunk(
 /// caller can stamp its latch-release event without another clock read.
 fn work(shared: &Shared, run: &RunData, index: usize, park_ns: Option<u64>) -> Instant {
     let my_node = shared.topology.node_of_core(CoreId::new(index));
+    let ring = Ring::Worker(index);
     let mut tally = WorkerTally {
         park_ns,
         ..WorkerTally::default()
@@ -1724,12 +1682,15 @@ fn work(shared: &Shared, run: &RunData, index: usize, park_ns: Option<u64>) -> I
         Discipline::Static => {
             // Work-sharing: drain the private slice, nothing to steal.
             for chunk_idx in run.static_slices[index].clone() {
-                let migrated = run.chunks[chunk_idx].home != my_node;
-                tally.count_acquisition(migrated);
-                if run.trace.is_some() {
-                    run.emit(index, my_node, acquisition_kind(run, chunk_idx, my_node));
-                }
-                execute_chunk(shared, run, chunk_idx, index, my_node, migrated, &mut tally);
+                execute_chunk(
+                    shared,
+                    run,
+                    chunk_idx,
+                    ring,
+                    my_node,
+                    Instant::now(),
+                    &mut tally,
+                );
             }
             tally.flush(shared, my_node, index);
             return Instant::now();
@@ -1745,43 +1706,25 @@ fn work(shared: &Shared, run: &RunData, index: usize, park_ns: Option<u64>) -> I
     loop {
         let acquire_start = Instant::now();
         let acquired = acquire(shared, run, index, my_node, &mut own, steal, &mut tally);
-        let acquire_elapsed = acquire_start.elapsed();
-        tally.overhead_ns += acquire_elapsed.as_nanos() as u64;
+        let acquired_at = Instant::now();
+        tally.overhead_ns += acquired_at.duration_since(acquire_start).as_nanos() as u64;
         let Some(chunk_idx) = acquired else {
-            done_at = acquire_start + acquire_elapsed;
+            done_at = acquired_at;
             break;
         };
-        // A chunk migrated iff it executes away from its assigned node.
-        let migrated = run.chunks[chunk_idx].home != my_node;
-        tally.count_acquisition(migrated);
-        if run.trace.is_some() {
-            run.emit_at(
-                index,
-                my_node,
-                acquire_start + acquire_elapsed,
-                acquisition_kind(run, chunk_idx, my_node),
-            );
-        }
-        execute_chunk(shared, run, chunk_idx, index, my_node, migrated, &mut tally);
+        execute_chunk(
+            shared,
+            run,
+            chunk_idx,
+            ring,
+            my_node,
+            acquired_at,
+            &mut tally,
+        );
     }
 
     tally.flush(shared, my_node, index);
     done_at
-}
-
-/// Classifies an acquisition by its locality outcome: crossing nodes is an
-/// inter-node steal (== one migration), anything else is a local pop.
-fn acquisition_kind(run: &RunData, chunk_idx: usize, my_node: NodeId) -> EventKind {
-    let chunk = chunk_idx as u32;
-    let home = run.chunks[chunk_idx].home;
-    if home != my_node {
-        EventKind::InterNodeSteal {
-            chunk,
-            from: home.index() as u32,
-        }
-    } else {
-        EventKind::LocalPop { chunk }
-    }
 }
 
 /// One acquisition: the head of the worker's own cursor while it lasts
@@ -1816,7 +1759,7 @@ fn acquire(
         .is_some_and(|p| p.refuses_remote_steal(index as u32))
     {
         run.emit(
-            index,
+            Ring::Worker(index),
             my_node,
             EventKind::FaultInjected {
                 fault: FaultTag::StealRefusal,
@@ -2564,7 +2507,7 @@ mod tests {
         let count = AtomicUsize::new(0);
         p.taskloop_into(
             0..256,
-            Grain::Size(4),
+            4,
             ExecMode::Flat,
             |r| {
                 count.fetch_add(r.len(), Ordering::Relaxed);
@@ -2575,15 +2518,18 @@ mod tests {
         assert_eq!(report.tasks_executed(), 64);
         assert_eq!(report.threads, 8);
         // Stale contents are fully overwritten by the next invocation.
-        p.taskloop_into(
-            0..100,
-            Grain::Size(5),
-            ExecMode::WorkSharing,
-            |_| {},
-            &mut report,
-        );
+        p.taskloop_into(0..100, 5, ExecMode::WorkSharing, |_| {}, &mut report);
         assert_eq!(report.tasks_executed(), 20);
         assert_eq!(report.migrations, 0);
+    }
+
+    #[test]
+    fn zero_grainsize_counts_as_one() {
+        let p = pool(presets::tiny_2x4());
+        let report = p.taskloop(0..100, 0, ExecMode::Flat, |r| assert_eq!(r.len(), 1));
+        assert_eq!(report.tasks_executed(), 100);
+        let (report, _) = p.taskloop_traced(0..8, 0, ExecMode::Flat, |_| {});
+        assert_eq!(report.tasks_executed(), 8);
     }
 
     /// A plan whose only fault is a permanent stall of worker `w`.

@@ -12,7 +12,7 @@
 //! clean — including the chunks this thread executes as the primary thread
 //! of each team (its cursor claims and remote steal sweeps).
 
-use ilan_runtime::{ExecMode, Grain, LoopReport, PinMode, PoolConfig, StealPolicy, ThreadPool};
+use ilan_runtime::{ExecMode, LoopReport, PinMode, PoolConfig, StealPolicy, ThreadPool};
 use ilan_topology::presets;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -106,13 +106,13 @@ fn warm_taskloop_dispatch_path_does_not_allocate() {
     // the arena's chunk table, trace rings and report vectors reach
     // their steady-state capacity.
     for mode in &modes {
-        p.taskloop_into(0..4096, Grain::Size(16), mode.clone(), body, &mut report);
+        p.taskloop_into(0..4096, 16, mode.clone(), body, &mut report);
     }
 
     for mode in &modes {
         sum.store(0, Ordering::Relaxed);
         let allocs = count_allocs(|| {
-            p.taskloop_into(0..4096, Grain::Size(16), mode.clone(), body, &mut report);
+            p.taskloop_into(0..4096, 16, mode.clone(), body, &mut report);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 4096, "mode {mode:?} lost work");
         assert_eq!(report.tasks_executed(), 256);
@@ -132,11 +132,11 @@ fn warm_inline_fast_path_does_not_allocate() {
         sum.fetch_add(r.len(), Ordering::Relaxed);
     };
     // One warm-up to size the report's node vector.
-    p.taskloop_into(0..16, Grain::Size(4), ExecMode::Flat, body, &mut report);
+    p.taskloop_into(0..16, 4, ExecMode::Flat, body, &mut report);
 
     sum.store(0, Ordering::Relaxed);
     let allocs = count_allocs(|| {
-        p.taskloop_into(0..16, Grain::Size(4), ExecMode::Flat, body, &mut report);
+        p.taskloop_into(0..16, 4, ExecMode::Flat, body, &mut report);
     });
     assert_eq!(sum.load(Ordering::Relaxed), 16);
     assert_eq!(report.threads, 1, "small loop must take the inline path");

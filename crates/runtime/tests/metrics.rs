@@ -80,41 +80,121 @@ fn counters_track_dispatch_and_inline_paths() {
     assert!(text.ends_with("# EOF\n"));
 }
 
+/// Asserts that one traced invocation's acquisition counters (`delta`)
+/// equal both the log's pop/steal tallies and the report's task, locality
+/// and migration counts.
+fn assert_acquisitions_agree(
+    what: &str,
+    delta: &ilan_metrics::MetricsSnapshot,
+    report: &LoopReport,
+    log: &ilan_trace::EventLog,
+) {
+    let acq = |kind: &str| counter_of(delta, "ilan_pool_acquisitions", &[("kind", kind)]) as usize;
+    let (pops, steals) = (acq("local_pop"), acq("inter_steal"));
+    assert_eq!(pops, log.local_pops(), "{what}: local pops vs log");
+    assert_eq!(steals, log.inter_node_steals(), "{what}: steals vs log");
+    // A node's workers share its cursor: a same-node claim is a local pop,
+    // so the pool records no intra-node steal.
+    assert_eq!(log.intra_node_steals(), 0, "{what}");
+    let local: usize = report.nodes.iter().map(|n| n.local_tasks).sum();
+    assert_eq!(pops + steals, report.tasks_executed(), "{what}: tasks");
+    assert_eq!(pops, local, "{what}: local tasks");
+    assert_eq!(steals, report.migrations, "{what}: migrations");
+    // Steal-probe accounting: hits never exceed attempts, per scope.
+    for scope in ["local", "remote"] {
+        let hits = counter_of(delta, "ilan_pool_steal_hits", &[("scope", scope)]);
+        let attempts = counter_of(delta, "ilan_pool_steal_attempts", &[("scope", scope)]);
+        assert!(
+            hits <= attempts,
+            "{what} {scope}: {hits} hits out of {attempts} attempts"
+        );
+    }
+}
+
+/// A plan whose only fault is a permanent stall of worker `w`.
+fn permanent_stall_plan(topo: &Topology, w: u32) -> FaultPlan {
+    let config = FaultConfig {
+        max_worker_stalls: 1,
+        permanent_stalls: true,
+        max_stall_ns: 1_000_000,
+        ..FaultConfig::none()
+    };
+    (0..10_000u64)
+        .map(|seed| {
+            FaultPlan::new(
+                seed,
+                topo.num_cores() as u32,
+                topo.num_nodes() as u32,
+                config,
+            )
+        })
+        .find(|p| p.stalls().len() == 1 && p.stall_of(w).is_some_and(|s| s.permanent))
+        .expect("a plan permanently stalling the worker")
+}
+
 /// Differential check, native half: the acquisition counters must equal the
-/// trace log's pop/steal tallies over the same traced invocation.
+/// trace log's pop/steal tallies and the report over the same traced
+/// invocation, in every execution mode and on an invocation the watchdog
+/// drains at stage 2 (the stalled worker's static slice then runs on the
+/// dispatcher, attributed to each chunk's home node).
 #[test]
 fn native_counters_match_trace_steal_matrix() {
     let p = pool(presets::tiny_2x4());
     let m = p.metrics().unwrap();
-    let mode = ExecMode::Hierarchical {
+    let hier = |strict_fraction, policy| ExecMode::Hierarchical {
         mask: p.topology().all_nodes(),
         threads: 0,
-        strict_fraction: 0.5,
-        policy: StealPolicy::Full,
+        strict_fraction,
+        policy,
     };
-    for _ in 0..5 {
-        let before = m.registry().snapshot();
-        let (report, log) = p.taskloop_traced(0..20_000, 32, mode.clone(), |r| {
-            std::hint::black_box(r.sum::<usize>());
-        });
-        let delta = m.registry().snapshot().delta(&before);
-        let acq = |kind: &str| counter_of(&delta, "ilan_pool_acquisitions", &[("kind", kind)]);
-        assert_eq!(acq("local_pop") as usize, log.local_pops());
-        // A node's workers share its cursor: a same-node claim is a local
-        // pop, so the pool records no intra-node steal.
-        assert_eq!(log.intra_node_steals(), 0);
-        assert_eq!(acq("inter_steal") as usize, log.inter_node_steals());
-        assert_eq!(acq("inter_steal") as usize, report.migrations);
-        // Steal-probe accounting: hits never exceed attempts, per scope.
-        for scope in ["local", "remote"] {
-            let hits = counter_of(&delta, "ilan_pool_steal_hits", &[("scope", scope)]);
-            let attempts = counter_of(&delta, "ilan_pool_steal_attempts", &[("scope", scope)]);
-            assert!(
-                hits <= attempts,
-                "{scope}: {hits} hits out of {attempts} attempts"
-            );
+    let modes = [
+        ExecMode::Flat,
+        ExecMode::WorkSharing,
+        hier(1.0, StealPolicy::Strict),
+        hier(0.5, StealPolicy::Full),
+    ];
+    for mode in modes {
+        for _ in 0..3 {
+            let before = m.registry().snapshot();
+            let (report, log) = p.taskloop_traced(0..20_000, 32, mode.clone(), |r| {
+                std::hint::black_box(r.sum::<usize>());
+            });
+            let delta = m.registry().snapshot().delta(&before);
+            assert_acquisitions_agree(&format!("{mode:?}"), &delta, &report, &log);
         }
     }
+
+    let topo = presets::tiny_2x4();
+    let plan = permanent_stall_plan(&topo, 2);
+    let p = ThreadPool::new(
+        PoolConfig::new(topo)
+            .pin(PinMode::Never)
+            .watchdog(Duration::from_millis(10))
+            .faults(plan),
+    )
+    .unwrap();
+    let m = p.metrics().unwrap();
+    let before = m.registry().snapshot();
+    let (report, log) = p.taskloop_traced(0..400, 4, ExecMode::WorkSharing, |r| {
+        std::hint::black_box(r.sum::<usize>());
+    });
+    let delta = m.registry().snapshot().delta(&before);
+    assert_eq!(
+        counter_of(&delta, "ilan_pool_degraded", &[("stage", "2")]),
+        1
+    );
+    // Worker 2's slice of the 100 chunks ran on the dispatcher ring.
+    let drained = log
+        .iter()
+        .filter(|e| {
+            e.worker == ilan_trace::DISPATCHER
+                && matches!(e.kind, ilan_trace::EventKind::ChunkStart { .. })
+        })
+        .count();
+    assert_eq!(drained, 12);
+    assert_acquisitions_agree("drained", &delta, &report, &log);
+    let audit = ilan_trace::audit(&log, &expect_from(&report));
+    assert!(audit.ok(), "audit violations: {audit}");
 }
 
 /// An injected permanent stall degrades the run and makes the flight
