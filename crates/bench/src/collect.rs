@@ -133,27 +133,6 @@ impl Collection {
     }
 }
 
-/// One seeded run reduced to its *simulated* duration — the measurement the
-/// Criterion benches report (`iter_custom`), so `cargo bench` prints the
-/// paper's quantity (simulated wall time) with statistics across seeds.
-///
-/// `max_steps` truncates the application so a bench sample stays cheap.
-pub fn simulated_duration(
-    workload: Workload,
-    scheduler: Scheduler,
-    topology: &Topology,
-    scale: Scale,
-    max_steps: usize,
-    seed: u64,
-) -> std::time::Duration {
-    let mut app = workload.sim_app(topology, scale);
-    app.steps = app.steps.min(max_steps);
-    let mut machine = SimMachine::new(MachineParams::for_topology(topology), seed);
-    let mut policy = scheduler.make_policy(topology);
-    let stats = app.run(&mut machine, policy.as_mut());
-    std::time::Duration::from_nanos(stats.wall_time_ns() as u64)
-}
-
 /// Runs the full matrix: every workload × the given schedulers × `num_runs`
 /// seeds. Progress goes to stderr (this is minutes of work at paper scale).
 pub fn collect(

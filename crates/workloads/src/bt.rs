@@ -10,7 +10,11 @@
 //!
 //! Native kernel: scalar tri-diagonal line solves (Thomas algorithm) along
 //! the three axes of an `n³` grid plus an RHS stencil pass, each sweep a
-//! taskloop over its independent lines.
+//! taskloop over its independent lines. Every line shares one constant
+//! matrix, so a timestep factors it once; each chunk then gathers its lines
+//! four at a time and runs the substitutions across the four together.
+//! Every line sees [`thomas_solve`]'s operations in its order, so the field
+//! is bitwise that of one `thomas_solve` per line (kept as the oracle).
 
 use crate::ptr::SyncSlice;
 use crate::spec::{blocked_tasks, Scale, SimApp, SimSite};
@@ -19,6 +23,7 @@ use ilan::{Policy, RunStats, SiteRegistry};
 use ilan_numasim::Locality;
 use ilan_runtime::ThreadPool;
 use ilan_topology::Topology;
+use std::ops::Range;
 
 /// Simulator profile (see module docs).
 pub fn sim_app(topology: &Topology, scale: Scale) -> SimApp {
@@ -89,6 +94,135 @@ pub fn thomas_solve(a: f64, b: f64, c: f64, d: &mut [f64], scratch: &mut [f64]) 
     }
 }
 
+/// The tri-diagonal matrix `(a, b, c)` for lines of `n` unknowns, factored
+/// once: the multipliers and the upper factor that [`thomas_solve`]
+/// recomputes for every line.
+struct TriFactor {
+    /// Sub-diagonal coefficient.
+    a: f64,
+    /// Diagonal coefficient.
+    b: f64,
+    /// `m[i] = 1 / (b − a·scratch[i−1])`, the elimination scale of row `i ≥ 1`.
+    m: Vec<f64>,
+    /// The upper factor's super-diagonal (`thomas_solve`'s `scratch`).
+    scratch: Vec<f64>,
+}
+
+impl TriFactor {
+    /// Factors the matrix with [`thomas_solve`]'s elimination, in its order.
+    fn new((a, b, c): (f64, f64, f64), n: usize) -> TriFactor {
+        assert!(n > 0, "empty system");
+        assert!(
+            b.abs() > a.abs() + c.abs(),
+            "matrix must be diagonally dominant"
+        );
+        let (mut m, mut scratch) = (vec![0.0; n], vec![0.0; n]);
+        scratch[0] = c / b;
+        for i in 1..n {
+            m[i] = 1.0 / (b - a * scratch[i - 1]);
+            scratch[i] = c * m[i];
+        }
+        TriFactor { a, b, m, scratch }
+    }
+}
+
+impl LineSolver for TriFactor {
+    fn solve<const B: usize>(&self, d: &mut [[f64; B]]) {
+        let n = self.m.len();
+        assert_eq!(d.len(), n, "line length differs from the factor's");
+        let (a, b, m, scratch) = (self.a, self.b, &self.m, &self.scratch);
+        for x in &mut d[0] {
+            *x /= b;
+        }
+        for i in 1..n {
+            let prev = d[i - 1];
+            for (x, y) in d[i].iter_mut().zip(prev) {
+                *x = (*x - a * y) * m[i];
+            }
+        }
+        for i in (0..n - 1).rev() {
+            let next = d[i + 1];
+            for (x, y) in d[i].iter_mut().zip(next) {
+                *x -= scratch[i] * y;
+            }
+        }
+    }
+}
+
+/// A factored constant-coefficient line system that solves `B` lines at
+/// once. `d[i][l]` is point `i` of line `l`: the right-hand side on entry,
+/// the solution on exit.
+pub(crate) trait LineSolver {
+    /// Solves the `B` lines in `d`.
+    fn solve<const B: usize>(&self, d: &mut [[f64; B]]);
+}
+
+/// Lines gathered per solve.
+const LINE_BATCH: usize = 4;
+
+/// Solves lines `lines` of `axis` (line `l` has transverse coordinates
+/// `(l % n, l / n)`) in place in the `n³` field, [`LINE_BATCH`] lines per
+/// gather → solve → scatter and the remainder one at a time. This is the
+/// whole sweep kernel of both BT and SP, serial and native.
+///
+/// # Safety
+/// No other thread may access the points of lines `lines` during the call.
+pub(crate) unsafe fn solve_lines(
+    field: &SyncSlice<'_, f64>,
+    n: usize,
+    axis: usize,
+    lines: Range<usize>,
+    solver: &impl LineSolver,
+) {
+    let mut l = lines.start;
+    let mut batch = vec![[0.0; LINE_BATCH]; n];
+    while l + LINE_BATCH <= lines.end {
+        // SAFETY: lines l..l + LINE_BATCH lie in `lines`.
+        unsafe { solve_batch(field, n, axis, l, solver, &mut batch) };
+        l += LINE_BATCH;
+    }
+    let mut single = vec![[0.0; 1]; n];
+    for l in l..lines.end {
+        // SAFETY: line l lies in `lines`.
+        unsafe { solve_batch(field, n, axis, l, solver, &mut single) };
+    }
+}
+
+/// Gathers lines `first..first + B` of `axis` into `d`, solves them and
+/// scatters the solutions back.
+///
+/// # Safety
+/// No other thread may access the points of these lines during the call.
+#[inline(always)]
+unsafe fn solve_batch<const B: usize>(
+    field: &SyncSlice<'_, f64>,
+    n: usize,
+    axis: usize,
+    first: usize,
+    solver: &impl LineSolver,
+    d: &mut [[f64; B]],
+) {
+    // Point i of a line sits at its base + i·stride.
+    let stride = line_index(n, axis, 1, 0, 0);
+    let base: [usize; B] = std::array::from_fn(|t| {
+        let l = first + t;
+        line_index(n, axis, 0, l % n, l / n)
+    });
+    for (i, row) in d.iter_mut().enumerate() {
+        for (x, &b) in row.iter_mut().zip(&base) {
+            // SAFETY: the caller owns these lines.
+            *x = unsafe { field.read(b + i * stride) };
+        }
+    }
+    solver.solve(d);
+    for (i, row) in d.iter().enumerate() {
+        for (&x, &b) in row.iter().zip(&base) {
+            // SAFETY: the caller owns these lines.
+            unsafe { field.write(b + i * stride, x) };
+        }
+    }
+}
+
 /// A cubic scalar field with ADI-style sweeps.
 pub struct BtGrid {
     /// Side length.
@@ -114,46 +248,18 @@ impl BtGrid {
         BtGrid { n, u }
     }
 
-    #[inline]
-    fn idx(&self, x: usize, y: usize, z: usize) -> usize {
-        x + self.n * (y + self.n * z)
-    }
-
-    /// Serial reference for one full timestep (RHS + three sweeps).
+    /// Serial timestep (RHS + three sweeps): the kernels of
+    /// [`step_native`]'s taskloops, each over its whole range.
     pub fn step_serial(&mut self) {
-        self.rhs_serial();
-        for axis in 0..3 {
-            self.sweep_serial(axis);
-        }
-    }
-
-    fn rhs_serial(&mut self) {
         let n = self.n;
-        let mut out = self.u.clone();
-        for z in 0..n {
-            for y in 0..n {
-                for x in 0..n {
-                    out[self.idx(x, y, z)] = rhs_point(&self.u, n, x, y, z);
-                }
-            }
-        }
-        self.u = out;
-    }
-
-    fn sweep_serial(&mut self, axis: usize) {
-        let n = self.n;
-        let mut line = vec![0.0; n];
-        let mut scratch = vec![0.0; n];
-        for j in 0..n {
-            for k in 0..n {
-                for (i, slot) in line.iter_mut().enumerate() {
-                    *slot = self.u[line_index(n, axis, i, j, k)];
-                }
-                let (a, b, c) = BT_COEFFS;
-                thomas_solve(a, b, c, &mut line, &mut scratch);
-                for (i, &v) in line.iter().enumerate() {
-                    self.u[line_index(n, axis, i, j, k)] = v;
-                }
+        let factor = TriFactor::new(BT_COEFFS, n);
+        let old = self.u.clone();
+        let field = SyncSlice::new(&mut self.u);
+        // SAFETY: only this thread sees the field.
+        unsafe {
+            rhs_planes(&old, n, 0..n, &field, rhs_point);
+            for axis in 0..3 {
+                solve_lines(&field, n, axis, 0..n * n, &factor);
             }
         }
     }
@@ -168,6 +274,28 @@ pub fn line_index(n: usize, axis: usize, i: usize, j: usize, k: usize) -> usize 
         1 => j + n * (i + n * k),
         2 => j + n * (k + n * i),
         _ => unreachable!("axis must be 0..3"),
+    }
+}
+
+/// Writes the RHS stencil `point` of `old` on the z-planes `zs` into `out`:
+/// the RHS kernel of both BT and SP, serial and native.
+///
+/// # Safety
+/// No other thread may access the z-planes `zs` of `out` during the call.
+pub(crate) unsafe fn rhs_planes(
+    old: &[f64],
+    n: usize,
+    zs: Range<usize>,
+    out: &SyncSlice<'_, f64>,
+    point: impl Fn(&[f64], usize, usize, usize, usize) -> f64,
+) {
+    for z in zs {
+        for y in 0..n {
+            for x in 0..n {
+                // SAFETY: the caller owns plane z.
+                unsafe { out.write(x + n * (y + n * z), point(old, n, x, y, z)) };
+            }
+        }
     }
 }
 
@@ -187,6 +315,7 @@ fn rhs_point(u: &[f64], n: usize, x: usize, y: usize, z: usize) -> f64 {
 
 /// One native BT timestep: an RHS taskloop over z-planes, then tri-diagonal
 /// sweeps along x, y and z, each a taskloop over its `n²` independent lines.
+/// The matrix is factored once for all three sweeps.
 pub fn step_native(
     pool: &ThreadPool,
     policy: &mut dyn Policy,
@@ -201,49 +330,25 @@ pub fn step_native(
         sites.site("bt/y-solve"),
         sites.site("bt/z-solve"),
     ];
-
-    // RHS pass: each chunk owns whole z-planes; reads the old field, writes
-    // a fresh one.
-    {
-        let old = grid.u.clone();
-        let out = SyncSlice::new(&mut grid.u);
-        let grain = (n / 8).max(1);
-        let (_, rep) = run_native_invocation(pool, policy, s_rhs, 0..n, grain, |zs| {
-            for z in zs {
-                for y in 0..n {
-                    for x in 0..n {
-                        // SAFETY: z-planes are disjoint between chunks.
-                        unsafe {
-                            out.write(x + n * (y + n * z), rhs_point(&old, n, x, y, z));
-                        }
-                    }
-                }
-            }
-        });
-        stats.add(&rep);
-    }
+    let factor = TriFactor::new(BT_COEFFS, n);
+    // The RHS pass reads the old field and writes a fresh one; each chunk
+    // owns whole z-planes.
+    let old = grid.u.clone();
+    let field = SyncSlice::new(&mut grid.u);
+    let grain = (n / 8).max(1);
+    let (_, rep) = run_native_invocation(pool, policy, s_rhs, 0..n, grain, |zs| {
+        // SAFETY: chunks own disjoint z-planes.
+        unsafe { rhs_planes(&old, n, zs, &field, rhs_point) }
+    });
+    stats.add(&rep);
 
     // Line sweeps: n² independent lines per axis.
     for (axis, &site) in s_sweep.iter().enumerate() {
         let lines = n * n;
         let grain = (lines / 64).max(1);
-        let field = SyncSlice::new(&mut grid.u);
         let (_, rep) = run_native_invocation(pool, policy, site, 0..lines, grain, |range| {
-            let mut line = vec![0.0; n];
-            let mut scratch = vec![0.0; n];
-            for l in range {
-                let (j, k) = (l % n, l / n);
-                for (i, slot) in line.iter_mut().enumerate() {
-                    // SAFETY: each line's points belong to exactly one l.
-                    unsafe { *slot = field.read(line_index(n, axis, i, j, k)) };
-                }
-                let (a, b, c) = BT_COEFFS;
-                thomas_solve(a, b, c, &mut line, &mut scratch);
-                for (i, &v) in line.iter().enumerate() {
-                    // SAFETY: as above — lines are disjoint.
-                    unsafe { field.write(line_index(n, axis, i, j, k), v) };
-                }
-            }
+            // SAFETY: chunks own disjoint lines.
+            unsafe { solve_lines(&field, n, axis, range, &factor) }
         });
         stats.add(&rep);
     }
@@ -344,10 +449,86 @@ pub fn block_sweep_native(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{all_finite, max_abs_diff};
+    use crate::verify::{all_finite, max_abs_diff, same_bits, seeded_field};
     use ilan::BaselinePolicy;
     use ilan_runtime::{PinMode, PoolConfig};
     use ilan_topology::presets;
+    use proptest::prelude::*;
+
+    /// Line `l` of `axis` solved alone with [`thomas_solve`]: the oracle.
+    fn solve_line_alone(u: &mut [f64], n: usize, axis: usize, l: usize) {
+        let (j, k) = (l % n, l / n);
+        let mut line: Vec<f64> = (0..n).map(|i| u[line_index(n, axis, i, j, k)]).collect();
+        let (a, b, c) = BT_COEFFS;
+        thomas_solve(a, b, c, &mut line, &mut vec![0.0; n]);
+        for (i, v) in line.into_iter().enumerate() {
+            u[line_index(n, axis, i, j, k)] = v;
+        }
+    }
+
+    /// The timestep as one `thomas_solve` per line: the oracle of
+    /// [`BtGrid::step_serial`].
+    fn step_per_line(g: &mut BtGrid) {
+        let n = g.n;
+        let old = g.u.clone();
+        for z in 0..n {
+            for y in 0..n {
+                for x in 0..n {
+                    g.u[x + n * (y + n * z)] = rhs_point(&old, n, x, y, z);
+                }
+            }
+        }
+        for axis in 0..3 {
+            for l in 0..n * n {
+                solve_line_alone(&mut g.u, n, axis, l);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Batched solves over any line range (odd offsets, lengths that
+        /// are not a multiple of the batch) match one `thomas_solve` per
+        /// line bitwise, and leave every other line alone.
+        #[test]
+        fn batched_lines_match_thomas_solve_bitwise(
+            n in 1usize..20,
+            axis in 0usize..3,
+            seed in any::<u64>(),
+            lo in 0.0f64..1.0,
+            len in 0usize..40,
+        ) {
+            let lines = n * n;
+            let start = (lo * lines as f64) as usize;
+            let range = start..(start + len).min(lines);
+            let mut u = seeded_field(n * n * n, seed);
+            let mut expected = u.clone();
+            for l in range.clone() {
+                solve_line_alone(&mut expected, n, axis, l);
+            }
+            let factor = TriFactor::new(BT_COEFFS, n);
+            // SAFETY: only this thread sees `u`.
+            unsafe { solve_lines(&SyncSlice::new(&mut u), n, axis, range.clone(), &factor) };
+            prop_assert!(same_bits(&u, &expected), "n={} axis={} lines={:?}", n, axis, range);
+        }
+    }
+
+    #[test]
+    fn step_serial_matches_per_line_step_bitwise() {
+        for n in [1, 2, 3, 5, 9, 14] {
+            let mut g = BtGrid {
+                n,
+                u: seeded_field(n * n * n, n as u64),
+            };
+            let mut oracle = BtGrid { n, u: g.u.clone() };
+            for _ in 0..2 {
+                g.step_serial();
+                step_per_line(&mut oracle);
+            }
+            assert!(same_bits(&g.u, &oracle.u), "n = {n}");
+        }
+    }
 
     #[test]
     fn thomas_matches_dense_solve() {
@@ -411,7 +592,7 @@ mod tests {
             serial.step_serial();
         }
         assert!(
-            max_abs_diff(&parallel.u, &serial.u) < 1e-12,
+            same_bits(&parallel.u, &serial.u),
             "parallel sweep diverged from serial"
         );
         assert!(all_finite(&parallel.u));

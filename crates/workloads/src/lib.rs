@@ -7,7 +7,7 @@
 //!
 //! 1. **Native kernels** — real, verified numerical kernels (CSR conjugate
 //!    gradient, radix-2 FFT passes, structured-grid sweeps, an SSOR
-//!    wavefront, a hydro proxy, blocked matmul) whose parallel loops run as
+//!    wavefront, a hydro proxy, register-tiled matmul) whose parallel loops run as
 //!    taskloops on the native runtime via any [`Policy`](ilan::Policy).
 //!    These are scaled down from class D so they run anywhere; they are the
 //!    functional-correctness leg of the reproduction.

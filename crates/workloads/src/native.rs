@@ -85,18 +85,19 @@ pub fn run_native_app(
         Workload::Ft => {
             let n = (scale.size.max(16)).next_power_of_two();
             let mut grid = ft::FtGrid::new(n);
-            let original = grid.re.clone();
+            let (original_re, original_im) = (grid.re.clone(), grid.im.clone());
             for _ in 0..scale.steps.div_ceil(2).max(1) {
                 ft::fft2d_native(pool, policy, &mut grid, &mut sites, false, &mut stats);
                 ft::fft2d_native(pool, policy, &mut grid, &mut sites, true, &mut stats);
             }
-            let err_2d = max_abs_diff(&grid.re, &original);
+            let err_2d =
+                max_abs_diff(&grid.re, &original_re).max(max_abs_diff(&grid.im, &original_im));
             // One full 3-D round trip on a small cube (the true FT shape).
             let mut cube = ft::FtCube::new((n / 4).max(8));
-            let cube_re = cube.re.clone();
+            let (cube_re, cube_im) = (cube.re.clone(), cube.im.clone());
             ft::fft3d_native(pool, policy, &mut cube, &mut sites, false, &mut stats);
             ft::fft3d_native(pool, policy, &mut cube, &mut sites, true, &mut stats);
-            let err_3d = max_abs_diff(&cube.re, &cube_re);
+            let err_3d = max_abs_diff(&cube.re, &cube_re).max(max_abs_diff(&cube.im, &cube_im));
             (err_2d.max(err_3d), 1e-8)
         }
         Workload::Bt => {
@@ -107,19 +108,16 @@ pub fn run_native_app(
                 bt::step_native(pool, policy, &mut parallel, &mut sites, &mut stats);
                 serial.step_serial();
             }
-            // Plus one 5×5 block sweep, the true-BT formulation.
+            // Plus one 5×5 block sweep, the true-BT formulation, against
+            // its serial reference.
             let mut blocks = bt::BtBlockField::new(n.min(12));
+            let mut blocks_serial = bt::BtBlockField::new(n.min(12));
             bt::block_sweep_native(pool, policy, &mut blocks, &mut sites, 0, &mut stats);
+            blocks_serial.sweep_serial(0);
             let flat: Vec<f64> = blocks.u.iter().flatten().copied().collect();
-            let grid_err = max_abs_diff(&parallel.u, &serial.u);
-            (
-                if all_finite(&flat) {
-                    grid_err
-                } else {
-                    f64::NAN
-                },
-                1e-10,
-            )
+            let flat_serial: Vec<f64> = blocks_serial.u.iter().flatten().copied().collect();
+            let err = max_abs_diff(&parallel.u, &serial.u).max(max_abs_diff(&flat, &flat_serial));
+            (if all_finite(&flat) { err } else { f64::NAN }, 1e-10)
         }
         Workload::Sp => {
             let n = scale.size.clamp(8, 24);

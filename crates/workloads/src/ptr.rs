@@ -80,6 +80,20 @@ impl<'a, T> SyncSlice<'a, T> {
         unsafe { &mut *self.data[index].get() }
     }
 
+    /// Returns the elements in `range` as one mutable slice.
+    ///
+    /// # Safety
+    /// No other thread may access any index in `range` for the slice's
+    /// lifetime.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
+        let cells = &self.data[range];
+        // SAFETY: UnsafeCell<T> is layout-compatible with T; exclusive
+        // access to the range is delegated to the caller.
+        unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(cells.as_ptr()), cells.len()) }
+    }
+
     /// Views the whole underlying slice immutably — for stencil kernels that
     /// read stable neighbours while writing disjoint points.
     ///

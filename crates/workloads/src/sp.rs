@@ -9,8 +9,14 @@
 //! keeping only part of the gain).
 //!
 //! Native kernel: penta-diagonal line solves along x, y, z of an `n³` grid
-//! plus an RHS pass, each a taskloop over independent lines.
+//! plus an RHS pass, each a taskloop over independent lines. Every line
+//! shares one constant matrix, so a timestep factors it once; each chunk
+//! then gathers its lines four at a time and runs forward and back
+//! substitution across the four together. Every line sees
+//! [`penta_solve`]'s operations in its order, so the field is bitwise that
+//! of one `penta_solve` per line (kept as the oracle).
 
+use crate::bt::{rhs_planes, solve_lines, LineSolver};
 use crate::ptr::SyncSlice;
 use crate::spec::{blocked_tasks, jitter_weight, Scale, SimApp, SimSite};
 use ilan::driver::run_native_invocation;
@@ -126,6 +132,96 @@ pub fn penta_solve(coeffs: (f64, f64, f64, f64, f64), d: &mut [f64], work: &mut 
     }
 }
 
+/// The penta-diagonal matrix of `coeffs` for lines of `n` unknowns, factored
+/// once: the elimination multipliers and the upper band that
+/// [`penta_solve`] recomputes for every line. [`LineSolver::solve`] then
+/// runs only its right-hand-side updates, on several lines at once.
+struct PentaFactor {
+    /// `m1[i]` eliminates row `i`'s first sub-diagonal (`i ≥ 1`).
+    m1: Vec<f64>,
+    /// `m2[i]` eliminates row `i`'s second sub-diagonal (`i ≥ 2`).
+    m2: Vec<f64>,
+    /// The upper factor's diagonal.
+    diag: Vec<f64>,
+    /// Its first super-diagonal.
+    sup1: Vec<f64>,
+    /// Its second super-diagonal.
+    sup2: Vec<f64>,
+}
+
+impl PentaFactor {
+    /// Factors the matrix with [`penta_solve`]'s elimination, in its order.
+    fn new(coeffs: (f64, f64, f64, f64, f64), n: usize) -> PentaFactor {
+        assert!(n >= 3, "penta system needs at least 3 unknowns");
+        let (a2, a1, b, c1, c2) = coeffs;
+        assert!(
+            b.abs() > a2.abs() + a1.abs() + c1.abs() + c2.abs(),
+            "matrix must be diagonally dominant"
+        );
+        let (mut m1, mut m2) = (vec![0.0; n], vec![0.0; n]);
+        let (mut diag, mut sup1, mut sup2) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        diag[0] = b;
+        sup1[0] = c1;
+        sup2[0] = c2;
+        m1[1] = a1 / diag[0];
+        diag[1] = b - m1[1] * sup1[0];
+        sup1[1] = c1 - m1[1] * sup2[0];
+        sup2[1] = c2;
+        for i in 2..n {
+            m2[i] = a2 / diag[i - 2];
+            let a1_upd = a1 - m2[i] * sup1[i - 2];
+            let b_upd = b - m2[i] * sup2[i - 2];
+            m1[i] = a1_upd / diag[i - 1];
+            diag[i] = b_upd - m1[i] * sup1[i - 1];
+            sup1[i] = if i + 1 < n {
+                c1 - m1[i] * sup2[i - 1]
+            } else {
+                0.0
+            };
+            sup2[i] = if i + 2 < n { c2 } else { 0.0 };
+        }
+        PentaFactor {
+            m1,
+            m2,
+            diag,
+            sup1,
+            sup2,
+        }
+    }
+}
+
+impl LineSolver for PentaFactor {
+    fn solve<const B: usize>(&self, d: &mut [[f64; B]]) {
+        let n = self.diag.len();
+        assert_eq!(d.len(), n, "line length differs from the factor's");
+        let (m1, m2, diag, sup1, sup2) = (&self.m1, &self.m2, &self.diag, &self.sup1, &self.sup2);
+        let d0 = d[0];
+        for (x, y0) in d[1].iter_mut().zip(d0) {
+            *x -= m1[1] * y0;
+        }
+        for i in 2..n {
+            let (d2, d1) = (d[i - 2], d[i - 1]);
+            for ((x, y2), y1) in d[i].iter_mut().zip(d2).zip(d1) {
+                *x -= m2[i] * y2;
+                *x -= m1[i] * y1;
+            }
+        }
+        for x in &mut d[n - 1] {
+            *x /= diag[n - 1];
+        }
+        let d1 = d[n - 1];
+        for (x, y1) in d[n - 2].iter_mut().zip(d1) {
+            *x = (*x - sup1[n - 2] * y1) / diag[n - 2];
+        }
+        for i in (0..n - 2).rev() {
+            let (d1, d2) = (d[i + 1], d[i + 2]);
+            for ((x, y1), y2) in d[i].iter_mut().zip(d1).zip(d2) {
+                *x = (*x - sup1[i] * y1 - sup2[i] * y2) / diag[i];
+            }
+        }
+    }
+}
+
 /// A cubic field with SP-style penta-diagonal sweeps, mirroring
 /// [`BtGrid`](crate::bt::BtGrid).
 pub struct SpGrid {
@@ -145,38 +241,18 @@ impl SpGrid {
         SpGrid { n, u }
     }
 
-    /// Serial reference timestep (RHS + three penta sweeps).
+    /// Serial timestep (RHS + three penta sweeps): the kernels of
+    /// [`step_native`]'s taskloops, each over its whole range.
     pub fn step_serial(&mut self) {
-        self.rhs_serial();
-        for axis in 0..3 {
-            self.sweep_serial(axis);
-        }
-    }
-
-    fn rhs_serial(&mut self) {
         let n = self.n;
+        let factor = PentaFactor::new(SP_COEFFS, n);
         let old = self.u.clone();
-        for z in 0..n {
-            for y in 0..n {
-                for x in 0..n {
-                    self.u[x + n * (y + n * z)] = sp_rhs_point(&old, n, x, y, z);
-                }
-            }
-        }
-    }
-
-    fn sweep_serial(&mut self, axis: usize) {
-        let n = self.n;
-        let mut line = vec![0.0; n];
-        let mut work = vec![0.0; 2 * n];
-        for l in 0..n * n {
-            let (j, k) = (l % n, l / n);
-            for (i, slot) in line.iter_mut().enumerate() {
-                *slot = self.u[crate::bt::line_index(n, axis, i, j, k)];
-            }
-            penta_solve(SP_COEFFS, &mut line, &mut work);
-            for (i, &v) in line.iter().enumerate() {
-                self.u[crate::bt::line_index(n, axis, i, j, k)] = v;
+        let field = SyncSlice::new(&mut self.u);
+        // SAFETY: only this thread sees the field.
+        unsafe {
+            rhs_planes(&old, n, 0..n, &field, sp_rhs_point);
+            for axis in 0..3 {
+                solve_lines(&field, n, axis, 0..n * n, &factor);
             }
         }
     }
@@ -198,6 +274,7 @@ fn sp_rhs_point(u: &[f64], n: usize, x: usize, y: usize, z: usize) -> f64 {
 }
 
 /// One native SP timestep (RHS + three penta-diagonal sweeps as taskloops).
+/// The matrix is factored once for all three sweeps.
 pub fn step_native(
     pool: &ThreadPool,
     policy: &mut dyn Policy,
@@ -212,45 +289,23 @@ pub fn step_native(
         sites.site("sp/y-solve"),
         sites.site("sp/z-solve"),
     ];
+    let factor = PentaFactor::new(SP_COEFFS, n);
+    let old = grid.u.clone();
+    let field = SyncSlice::new(&mut grid.u);
 
-    {
-        let old = grid.u.clone();
-        let out = SyncSlice::new(&mut grid.u);
-        let grain = (n / 8).max(1);
-        let (_, rep) = run_native_invocation(pool, policy, s_rhs, 0..n, grain, |zs| {
-            for z in zs {
-                for y in 0..n {
-                    for x in 0..n {
-                        // SAFETY: z-planes are disjoint between chunks.
-                        unsafe {
-                            out.write(x + n * (y + n * z), sp_rhs_point(&old, n, x, y, z));
-                        }
-                    }
-                }
-            }
-        });
-        stats.add(&rep);
-    }
+    let grain = (n / 8).max(1);
+    let (_, rep) = run_native_invocation(pool, policy, s_rhs, 0..n, grain, |zs| {
+        // SAFETY: chunks own disjoint z-planes.
+        unsafe { rhs_planes(&old, n, zs, &field, sp_rhs_point) }
+    });
+    stats.add(&rep);
 
     for (axis, &site) in s_sweep.iter().enumerate() {
         let lines = n * n;
         let grain = (lines / 64).max(1);
-        let field = SyncSlice::new(&mut grid.u);
         let (_, rep) = run_native_invocation(pool, policy, site, 0..lines, grain, |range| {
-            let mut line = vec![0.0; n];
-            let mut work = vec![0.0; 2 * n];
-            for l in range {
-                let (j, k) = (l % n, l / n);
-                for (i, slot) in line.iter_mut().enumerate() {
-                    // SAFETY: lines are disjoint between chunks.
-                    unsafe { *slot = field.read(crate::bt::line_index(n, axis, i, j, k)) };
-                }
-                penta_solve(SP_COEFFS, &mut line, &mut work);
-                for (i, &v) in line.iter().enumerate() {
-                    // SAFETY: lines are disjoint between chunks.
-                    unsafe { field.write(crate::bt::line_index(n, axis, i, j, k), v) };
-                }
-            }
+            // SAFETY: chunks own disjoint lines.
+            unsafe { solve_lines(&field, n, axis, range, &factor) }
         });
         stats.add(&rep);
     }
@@ -259,10 +314,86 @@ pub fn step_native(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::{all_finite, max_abs_diff};
+    use crate::bt::line_index;
+    use crate::verify::{all_finite, max_abs_diff, same_bits, seeded_field};
     use ilan::BaselinePolicy;
     use ilan_runtime::{PinMode, PoolConfig};
     use ilan_topology::presets;
+    use proptest::prelude::*;
+
+    /// Line `l` of `axis` solved alone with [`penta_solve`]: the oracle.
+    fn solve_line_alone(u: &mut [f64], n: usize, axis: usize, l: usize) {
+        let (j, k) = (l % n, l / n);
+        let mut line: Vec<f64> = (0..n).map(|i| u[line_index(n, axis, i, j, k)]).collect();
+        penta_solve(SP_COEFFS, &mut line, &mut vec![0.0; 2 * n]);
+        for (i, v) in line.into_iter().enumerate() {
+            u[line_index(n, axis, i, j, k)] = v;
+        }
+    }
+
+    /// The timestep as one `penta_solve` per line: the oracle of
+    /// [`SpGrid::step_serial`].
+    fn step_per_line(g: &mut SpGrid) {
+        let n = g.n;
+        let old = g.u.clone();
+        for z in 0..n {
+            for y in 0..n {
+                for x in 0..n {
+                    g.u[x + n * (y + n * z)] = sp_rhs_point(&old, n, x, y, z);
+                }
+            }
+        }
+        for axis in 0..3 {
+            for l in 0..n * n {
+                solve_line_alone(&mut g.u, n, axis, l);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Batched solves over any line range (odd offsets, lengths that
+        /// are not a multiple of the batch) match one `penta_solve` per
+        /// line bitwise, and leave every other line alone.
+        #[test]
+        fn batched_lines_match_penta_solve_bitwise(
+            n in 3usize..20,
+            axis in 0usize..3,
+            seed in any::<u64>(),
+            lo in 0.0f64..1.0,
+            len in 0usize..40,
+        ) {
+            let lines = n * n;
+            let start = (lo * lines as f64) as usize;
+            let range = start..(start + len).min(lines);
+            let mut u = seeded_field(n * n * n, seed);
+            let mut expected = u.clone();
+            for l in range.clone() {
+                solve_line_alone(&mut expected, n, axis, l);
+            }
+            let factor = PentaFactor::new(SP_COEFFS, n);
+            // SAFETY: only this thread sees `u`.
+            unsafe { solve_lines(&SyncSlice::new(&mut u), n, axis, range.clone(), &factor) };
+            prop_assert!(same_bits(&u, &expected), "n={} axis={} lines={:?}", n, axis, range);
+        }
+    }
+
+    #[test]
+    fn step_serial_matches_per_line_step_bitwise() {
+        for n in [3, 4, 5, 9, 14] {
+            let mut g = SpGrid {
+                n,
+                u: seeded_field(n * n * n, n as u64),
+            };
+            let mut oracle = SpGrid { n, u: g.u.clone() };
+            for _ in 0..2 {
+                g.step_serial();
+                step_per_line(&mut oracle);
+            }
+            assert!(same_bits(&g.u, &oracle.u), "n = {n}");
+        }
+    }
 
     #[test]
     fn penta_matches_manufactured_solution() {
@@ -327,7 +458,7 @@ mod tests {
             step_native(&pool, &mut policy, &mut parallel, &mut sites, &mut stats);
             serial.step_serial();
         }
-        assert!(max_abs_diff(&parallel.u, &serial.u) < 1e-11);
+        assert!(same_bits(&parallel.u, &serial.u));
         assert!(all_finite(&parallel.u));
     }
 

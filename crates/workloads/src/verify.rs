@@ -32,9 +32,32 @@ pub fn rel_l2_error(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
+/// Whether the slices hold the same values bit for bit (`-0.0 ≠ 0.0`, and a
+/// NaN equals a NaN with the same payload): the kernels' oracle tests'
+/// comparison.
+#[cfg(test)]
+pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Whether every element is finite (no NaN/∞ escaped the kernel).
 pub fn all_finite(a: &[f64]) -> bool {
     a.iter().all(|x| x.is_finite())
+}
+
+/// `len` seeded pseudo-random values in `[0.5, 1.5)`, the kernels' oracle
+/// tests' inputs.
+#[cfg(test)]
+pub(crate) fn seeded_field(len: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 + 0.5
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -58,6 +81,13 @@ mod tests {
         assert!(all_finite(&[0.0, -1.0, 1e300]));
         assert!(!all_finite(&[0.0, f64::NAN]));
         assert!(!all_finite(&[f64::INFINITY]));
+    }
+
+    #[test]
+    fn same_bits_tells_signed_zeros_apart() {
+        assert!(same_bits(&[1.0, f64::NAN], &[1.0, f64::NAN]));
+        assert!(!same_bits(&[0.0], &[-0.0]));
+        assert!(!same_bits(&[1.0], &[1.0, 2.0]));
     }
 
     #[test]
