@@ -12,18 +12,17 @@
 //! noise (seed 7), so identical chunks do not all finish on one event.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ilan_numasim::{
-    ColoMachine, Locality, MachineParams, NodeAssignment, PlacementPlan, SimMachine, TaskSpec,
-};
-use ilan_topology::{presets, CpuSet, NodeId, NodeMask, Topology};
+use ilan_numasim::{ColoMachine, Locality, MachineParams, SimMachine, TaskSpec};
+use ilan_topology::{presets, ChunkAssignment, ExecMode, NodeMask, StealPolicy, Topology};
 use std::time::Duration;
 
 fn tasks(n: usize, nodes: usize, scattered: bool) -> Vec<TaskSpec> {
+    let blocked = ChunkAssignment::new(NodeMask::first_n(nodes), n);
     (0..n)
         .map(|i| TaskSpec {
             compute_ns: 20_000.0,
             mem_bytes: 400_000.0,
-            home_node: NodeId::new(i * nodes / n),
+            home_node: blocked.node_of_chunk(i),
             locality: if scattered {
                 Locality::Scattered { spread: 0.8 }
             } else {
@@ -36,19 +35,14 @@ fn tasks(n: usize, nodes: usize, scattered: bool) -> Vec<TaskSpec> {
         .collect()
 }
 
-/// Contiguous per-node blocks, the first `strict` of each block NUMA-strict.
-fn hier_plan(n: usize, nodes: usize, strict: f64) -> PlacementPlan {
-    let assignments = (0..nodes)
-        .map(|node| {
-            let ts: Vec<usize> = (0..n).filter(|i| i * nodes / n == node).collect();
-            NodeAssignment {
-                node: NodeId::new(node),
-                strict_count: (ts.len() as f64 * strict) as usize,
-                tasks: ts,
-            }
-        })
-        .collect();
-    PlacementPlan::Hierarchical { assignments }
+/// Hierarchical over the whole machine, 60% of each node's chunks strict.
+fn stealable_tails(topo: &Topology) -> ExecMode {
+    ExecMode::Hierarchical {
+        mask: topo.all_nodes(),
+        threads: 0,
+        strict_fraction: 0.6,
+        policy: StealPolicy::Full,
+    }
 }
 
 /// Times `$run` (a closure returning the events it processed) with the
@@ -61,16 +55,16 @@ macro_rules! bench_events {
     }};
 }
 
-fn one_lane(topo: &Topology, cores: &CpuSet, plan: &PlacementPlan, specs: &[TaskSpec]) -> u64 {
+fn one_lane(topo: &Topology, mode: &ExecMode, specs: &[TaskSpec]) -> u64 {
     let mut m = SimMachine::new(MachineParams::for_topology(topo), 7);
-    m.run_taskloop(cores, plan, specs);
+    m.run_taskloop(topo.all_nodes(), mode, specs);
     m.event_counts().events
 }
 
 fn engine_throughput(c: &mut Criterion) {
     let topo = presets::epyc_9354_2s();
     let nodes = topo.num_nodes();
-    let all = topo.cpuset_of_mask(topo.all_nodes());
+    let all = topo.all_nodes();
     let mut group = c.benchmark_group("sim-engine");
     group
         .sample_size(20)
@@ -79,7 +73,7 @@ fn engine_throughput(c: &mut Criterion) {
         for chunks in [256usize, 2048] {
             let specs = tasks(chunks, nodes, scattered);
             bench_events!(group, format!("{name}/{chunks}-chunks"), || {
-                one_lane(&topo, &all, &PlacementPlan::flat(), &specs)
+                one_lane(&topo, &ExecMode::Flat, &specs)
             });
         }
     }
@@ -88,33 +82,26 @@ fn engine_throughput(c: &mut Criterion) {
     // nodes steal the tails of the busy ones (every fourth node's chunks
     // are four times heavier).
     let mut specs = tasks(2048, nodes, false);
-    for (i, t) in specs.iter_mut().enumerate() {
-        if (i * nodes / 2048).is_multiple_of(4) {
+    for t in &mut specs {
+        if t.home_node.index().is_multiple_of(4) {
             t.compute_ns *= 4.0;
         }
     }
-    let plan = hier_plan(2048, nodes, 0.6);
+    let mode = stealable_tails(&topo);
     bench_events!(group, "hier-stealable-tail/2048-chunks", || {
-        one_lane(&topo, &all, &plan, &specs)
+        one_lane(&topo, &mode, &specs)
     });
 
     // Two lanes timesharing socket 0: the whole machine under a
-    // hierarchical plan, and socket 0 under the flat baseline.
-    let socket0 = topo.cpuset_of_mask(NodeMask::first_n(nodes / 2));
+    // hierarchical mode, and socket 0 under the flat baseline.
+    let socket0 = NodeMask::first_n(nodes / 2);
     let a_specs = tasks(1024, nodes, false);
     let b_specs = tasks(1024, nodes / 2, true);
-    let a_plan = hier_plan(1024, nodes, 0.6);
     bench_events!(group, "two-lanes-shared-cores/2x1024-chunks", || {
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo), 7);
         let (a, b) = (colo.add_lane(), colo.add_lane());
-        colo.start_loop(a, &all, &a_plan, a_specs.clone(), 0.0);
-        colo.start_loop(
-            b,
-            &socket0,
-            &PlacementPlan::flat(),
-            b_specs.clone(),
-            5_000.0,
-        );
+        colo.start_loop(a, all, &mode, a_specs.clone(), 0.0);
+        colo.start_loop(b, socket0, &ExecMode::Flat, b_specs.clone(), 5_000.0);
         while colo.run_until_next_completion().is_some() {}
         colo.event_counts().events
     });

@@ -1,7 +1,6 @@
 //! Probe: single-site diagnostics under the four execution shapes.
-use ilan::driver::{active_cores, build_plan};
 use ilan::{Decision, StealPolicy};
-use ilan_numasim::{MachineParams, PlacementPlan, SimMachine};
+use ilan_numasim::{MachineParams, SimMachine};
 use ilan_topology::presets;
 use ilan_workloads::{Scale, ALL_WORKLOADS};
 
@@ -22,13 +21,9 @@ fn main() {
                 site.name,
                 ideal / 1e3
             );
-            let all = topo.cpuset_of_mask(topo.all_nodes());
-            for (label, plan, cores) in [
-                ("flat", PlacementPlan::Flat, all.clone()),
-                ("static", PlacementPlan::Static, all.clone()),
-            ] {
+            for (label, mode) in [("flat", Decision::Flat), ("static", Decision::WorkSharing)] {
                 let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
-                let out = m.run_taskloop(&cores, &plan, tasks);
+                let out = m.run_taskloop(topo.all_nodes(), &mode, tasks);
                 print!(" {label}={:.0}us", out.makespan_ns / 1e3);
             }
             for threads in [64usize, 48, 40, 32, 24] {
@@ -36,13 +31,11 @@ fn main() {
                 let d = Decision::Hierarchical {
                     threads,
                     mask,
-                    steal: StealPolicy::Full,
                     strict_fraction: 0.5,
+                    policy: StealPolicy::Full,
                 };
-                let cores = active_cores(&topo, mask, threads);
-                let plan = build_plan(&d, tasks.len());
                 let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
-                let out = m.run_taskloop(&cores, &plan, tasks);
+                let out = m.run_taskloop(topo.all_nodes(), &d, tasks);
                 print!(" h{threads}={:.0}us", out.makespan_ns / 1e3);
             }
             println!();

@@ -66,8 +66,8 @@ fn main() {
             let mut policy = FixedPolicy::new(Decision::Hierarchical {
                 threads,
                 mask,
-                steal: StealPolicy::Strict,
                 strict_fraction: 1.0,
+                policy: StealPolicy::Strict,
             });
             let stats = app.run(&mut machine, &mut policy);
             print!("{}t={:.4}s ", threads, stats.wall_time_ns() * 1e-9);

@@ -28,13 +28,13 @@
 
 use crate::stress::{assignment_fingerprint, audit_invocation};
 use ilan_faults::{FaultConfig, FaultPlan};
-use ilan_numasim::{ColoMachine, Locality, MachineParams, NodeAssignment, PlacementPlan, TaskSpec};
+use ilan_numasim::{ColoMachine, Locality, MachineParams, TaskSpec};
 use ilan_runtime::trace::{EventKind, EventLog};
-use ilan_runtime::{ChunkAssignment, ExecMode, PinMode, PoolConfig, StealPolicy, ThreadPool};
+use ilan_runtime::{ExecMode, PinMode, PoolConfig, StealPolicy, ThreadPool};
 use ilan_server::{
     generate_stream, run_colocation_faulty, ServerConfig, SharingPolicy, StreamParams,
 };
-use ilan_topology::{presets, NodeMask};
+use ilan_topology::{presets, ChunkAssignment, NodeMask};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -316,7 +316,7 @@ pub fn differential_placement(seed: u64) -> DifferentialOutcome {
         strict_fraction: 1.0,
         policy: StealPolicy::Strict,
     };
-    let (native_report, native_log) = pool.taskloop_traced(0..num_chunks, 1, mode, |_| {
+    let (native_report, native_log) = pool.taskloop_traced(0..num_chunks, 1, mode.clone(), |_| {
         let mut acc = 0u64;
         for k in 0..1_000u64 {
             acc = acc.wrapping_add(std::hint::black_box(k));
@@ -324,45 +324,25 @@ pub fn differential_placement(seed: u64) -> DifferentialOutcome {
         std::hint::black_box(acc);
     });
 
-    // Simulator: the same blocked assignment as an explicit fully-strict
-    // hierarchical placement plan, under the same fault plan.
-    let assignment = ChunkAssignment::new(topo.all_nodes(), num_chunks);
-    let mut tasks: Vec<TaskSpec> = (0..num_chunks)
-        .map(|_| TaskSpec {
+    // Simulator: the same mode under the same fault plan, each chunk's
+    // data homed on the node the blocked assignment places it on.
+    let blocked = ChunkAssignment::new(topo.all_nodes(), num_chunks);
+    let tasks: Vec<TaskSpec> = (0..num_chunks)
+        .map(|c| TaskSpec {
             compute_ns: 2_000.0,
             mem_bytes: 10_000.0,
-            home_node: ilan_topology::NodeId::new(0),
+            home_node: blocked.node_of_chunk(c),
             locality: Locality::Chunked,
-            data_mask: topo.all_nodes(),
+            data_mask: NodeMask::single(blocked.node_of_chunk(c)),
             cache_reuse: 0.0,
             fits_l3: false,
         })
         .collect();
-    let mut assignments = Vec::new();
-    for (rank, node) in topo.all_nodes().iter().enumerate() {
-        let idxs: Vec<usize> = assignment.chunks_of_rank(rank).collect();
-        for &c in &idxs {
-            tasks[c].home_node = node;
-            tasks[c].data_mask = NodeMask::single(node);
-        }
-        let strict_count = idxs.len();
-        assignments.push(NodeAssignment {
-            node,
-            tasks: idxs,
-            strict_count,
-        });
-    }
     let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 7);
     colo.set_tracing(true);
     colo.set_fault_plan(plan.clone());
     let lane = colo.add_lane();
-    colo.start_loop(
-        lane,
-        &topo.cpuset_of_mask(topo.all_nodes()),
-        &PlacementPlan::Hierarchical { assignments },
-        tasks,
-        0.0,
-    );
+    colo.start_loop(lane, topo.all_nodes(), &mode, tasks, 0.0);
     let (_, sim_out) = colo
         .run_until_next_completion()
         .expect("one loop in flight");

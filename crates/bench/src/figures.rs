@@ -277,7 +277,7 @@ pub fn fig6(c: &Collection, out: Option<&Path>) -> String {
 /// per-benchmark averages.
 pub fn fig3_details(topology: &ilan_topology::Topology, scale: ilan_workloads::Scale) -> String {
     use ilan::driver::run_sim_invocation;
-    use ilan::{IlanParams, IlanScheduler, SiteId};
+    use ilan::{Decision, IlanParams, IlanScheduler, SiteId};
     use ilan_numasim::{MachineParams, SimMachine};
 
     let mut out = String::from("== Figure 3 detail — settled configuration per taskloop site ==\n");
@@ -299,13 +299,19 @@ pub fn fig3_details(topology: &ilan_topology::Topology, scale: ilan_workloads::S
         for (idx, site) in app.sites.iter().enumerate() {
             let id = SiteId::new(idx as u64);
             match ilan.settled_decision(id) {
-                Some(d) => out.push_str(&format!(
+                Some(Decision::Hierarchical {
+                    threads,
+                    mask,
+                    policy,
+                    ..
+                }) => out.push_str(&format!(
                     "  {:<18} threads={:<3} steal={:<6} mask={:?}\n",
                     site.name,
-                    d.threads().unwrap_or(0),
-                    format!("{:?}", d.steal().unwrap()),
-                    d.mask().unwrap(),
+                    threads,
+                    format!("{policy:?}"),
+                    mask,
                 )),
+                Some(d) => unreachable!("ILAN settles on hierarchical decisions, not {d:?}"),
                 None => out.push_str(&format!("  {:<18} (unsettled)\n", site.name)),
             }
         }
@@ -352,7 +358,7 @@ pub fn bandwidth(c: &Collection, out: Option<&Path>) -> String {
 pub fn converge(topology: &ilan_topology::Topology, scale: ilan_workloads::Scale) -> String {
     use crate::format::bar;
     use ilan::driver::run_sim_invocation;
-    use ilan::{IlanParams, IlanScheduler, Policy, SiteId};
+    use ilan::{Decision, IlanParams, IlanScheduler, Policy, SiteId};
     use ilan_numasim::{MachineParams, SimMachine};
     use ilan_workloads::Workload;
 
@@ -386,7 +392,11 @@ pub fn converge(topology: &ilan_topology::Topology, scale: ilan_workloads::Scale
             let (_, rb) = run_sim_invocation(&mut base_machine, base.as_mut(), id, &site.tasks);
             let (d, ri) = run_sim_invocation(&mut ilan_machine, ilan.as_mut(), id, &site.tasks);
             max_t = max_t.max(rb.time_ns).max(ri.time_ns);
-            rows.push((k, rb.time_ns, ri.time_ns, d.threads().unwrap_or(0)));
+            let threads = match d {
+                Decision::Hierarchical { threads, .. } => threads,
+                Decision::Flat | Decision::WorkSharing => 0,
+            };
+            rows.push((k, rb.time_ns, ri.time_ns, threads));
         }
         for (k, tb, ti, threads) in rows {
             out.push_str(&format!(
@@ -411,7 +421,6 @@ pub fn trace_artifact(
     seed: u64,
     out: Option<&Path>,
 ) -> String {
-    use ilan::driver::sim_placement;
     use ilan::{IlanParams, IlanScheduler, Policy, SiteId, TaskloopReport};
     use ilan_numasim::trace::{audit, AuditExpect, EventLog, NodeTally};
     use ilan_numasim::{MachineParams, SimMachine};
@@ -429,9 +438,7 @@ pub fn trace_artifact(
             let site = SiteId::new(site_idx as u64);
             let tasks = &app.sites[site_idx].tasks;
             let decision = sched.decide(site);
-            let (cores, plan) =
-                sim_placement(topology, &decision, topology.all_nodes(), tasks.len());
-            let outcome = machine.run_taskloop_traced(&cores, &plan, tasks);
+            let outcome = machine.run_taskloop_traced(topology.all_nodes(), &decision, tasks);
             let expect = AuditExpect {
                 migrations: Some(outcome.migrations),
                 latch_releases: Some(outcome.threads),

@@ -150,7 +150,7 @@ pub fn assignment_fingerprint(log: &EventLog) -> u64 {
 
 /// The fingerprint over an explicit `(chunk, home, strict)` placement list
 /// (which must be sorted by chunk index). Exposed so tests can recompute the
-/// expected value from [`ChunkAssignment`](ilan_runtime::ChunkAssignment)
+/// expected value from [`ChunkAssignment`](ilan_topology::ChunkAssignment)
 /// independently of the runtime's dispatch path.
 pub fn placement_fingerprint(placed: &[(u32, u32, bool)]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -309,13 +309,14 @@ mod tests {
         num_chunks: usize,
         strict_fraction: f64,
     ) -> Vec<(u32, u32, bool)> {
-        let assignment = ilan_runtime::ChunkAssignment::new(mask, num_chunks);
+        let assignment = ilan_topology::ChunkAssignment::new(mask, num_chunks);
         let mut placed = Vec::new();
         for (rank, node) in mask.iter().enumerate() {
             let idxs = assignment.chunks_of_rank(rank);
-            let strict_count = ((idxs.len() as f64) * strict_fraction).round() as usize;
+            let strict =
+                ilan_topology::strict_count(idxs.len(), StealPolicy::Full, strict_fraction);
             for (j, idx) in idxs.enumerate() {
-                placed.push((idx as u32, node.index() as u32, j < strict_count));
+                placed.push((idx as u32, node.index() as u32, j < strict));
             }
         }
         placed.sort_unstable();

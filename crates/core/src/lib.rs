@@ -21,8 +21,9 @@
 //! stay collocated; distribution inside a node is work-stealing.
 //!
 //! The policy is a pure state machine ([`Policy`]): `decide` returns a
-//! [`Decision`], `record` feeds back a normalized [`TaskloopReport`]. Two
-//! drivers execute decisions: [`driver::run_sim_invocation`] on the
+//! [`Decision`] — the placement description both execution substrates take,
+//! [`ilan_topology::ExecMode`] — and `record` feeds back a normalized
+//! [`TaskloopReport`]. Two drivers execute decisions: [`driver::run_sim_invocation`] on the
 //! simulated NUMA machine (`ilan-numasim`) and
 //! [`driver::run_native_invocation`] on the native work-stealing runtime
 //! (`ilan-runtime`). Baselines ship alongside: [`BaselinePolicy`] (default
@@ -42,17 +43,17 @@
 //!
 //! // First decision always uses the whole machine.
 //! let d = ilan.decide(site);
-//! assert_eq!(d.threads(), Some(64));
+//! assert!(matches!(d, Decision::Hierarchical { threads: 64, .. }));
 //! // Feed a report back; the second decision explores half the machine.
 //! let report = TaskloopReport::synthetic(1_000_000.0, 64);
 //! ilan.record(site, &d, &report);
-//! assert_eq!(ilan.decide(site).threads(), Some(32));
+//! let d = ilan.decide(site);
+//! assert!(matches!(d, Decision::Hierarchical { threads: 32, .. }));
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod algorithm1;
-mod config;
 pub mod driver;
 pub mod metrics;
 pub mod nodemask;
@@ -65,8 +66,11 @@ mod site;
 pub mod stats;
 pub mod trace;
 
-pub use config::Decision;
-pub use ilan_runtime::StealPolicy;
+/// What a [`Policy`] decided for one taskloop invocation: the placement
+/// both execution substrates take. ILAN's hierarchical decision carries the
+/// paper's `(num_threads, node_mask, steal_policy)` triple.
+pub use ilan_topology::ExecMode as Decision;
+pub use ilan_topology::StealPolicy;
 pub use metrics::SchedulerMetrics;
 pub use objective::Objective;
 pub use policy::{BaselinePolicy, FixedPolicy, Policy, WorkSharingPolicy};

@@ -1,8 +1,8 @@
 //! The policy abstraction and the paper's comparison baselines.
 
-use crate::config::Decision;
 use crate::report::TaskloopReport;
 use crate::site::SiteId;
+use crate::Decision;
 
 /// A scheduling policy: decides a configuration for each taskloop
 /// invocation and learns from the resulting report.
@@ -114,8 +114,8 @@ mod tests {
         let d = Decision::Hierarchical {
             threads: 24,
             mask: NodeMask::first_n(3),
-            steal: StealPolicy::Full,
             strict_fraction: 0.5,
+            policy: StealPolicy::Full,
         };
         let mut p = FixedPolicy::new(d.clone());
         assert_eq!(p.decide(SiteId::new(7)), d);

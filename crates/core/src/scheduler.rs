@@ -16,13 +16,13 @@
 //! distribution and the steal-policy trial remain.
 
 use crate::algorithm1::{select_threads, SelectionInput};
-use crate::config::Decision;
 use crate::metrics::SchedulerMetrics;
 use crate::nodemask::select_mask_within;
 use crate::policy::Policy;
 use crate::ptt::Ptt;
 use crate::report::TaskloopReport;
 use crate::site::SiteId;
+use crate::Decision;
 use ilan_runtime::StealPolicy;
 use ilan_topology::{NodeMask, Topology};
 use std::collections::HashMap;
@@ -288,6 +288,15 @@ impl IlanScheduler {
         self.params.partition_cores()
     }
 
+    /// A decision's thread count; the whole partition for a flat or
+    /// work-sharing one.
+    fn threads_of(&self, decision: &Decision) -> usize {
+        match decision {
+            Decision::Hierarchical { threads, .. } => *threads,
+            Decision::Flat | Decision::WorkSharing => self.m_max(),
+        }
+    }
+
     /// Thread count rounded down to a positive multiple of `g`.
     fn quantize(&self, threads: usize) -> usize {
         let g = self.params.granularity;
@@ -304,8 +313,8 @@ impl IlanScheduler {
         Decision::Hierarchical {
             threads,
             mask,
-            steal,
             strict_fraction: self.params.strict_fraction,
+            policy: steal,
         }
     }
 
@@ -349,7 +358,7 @@ impl IlanScheduler {
                     return self.finish_search(site, threads, table.fastest_mean());
                 }
                 // Invocation k+1 is configured by Algorithm 1.
-                let current_threads = state.next.threads().unwrap_or(self.m_max());
+                let current_threads = self.threads_of(&state.next);
                 let selection = select_threads(SelectionInput {
                     table,
                     current_threads,
@@ -371,7 +380,7 @@ impl IlanScheduler {
             SearchPhase::StealTrial => {
                 // The report is the full-policy trial: keep whichever policy
                 // scores better under the configured objective.
-                let threads = state.next.threads().unwrap_or(self.m_max());
+                let threads = self.threads_of(&state.next);
                 let objective = self.params.objective;
                 let steal = if objective.score(threads, report.time_ns)
                     < objective.score(threads, state.strict_best_ns)
@@ -439,9 +448,9 @@ impl Policy for IlanScheduler {
             Decision::Hierarchical {
                 threads,
                 mask,
-                steal,
+                policy,
                 ..
-            } => (*threads, *mask, *steal),
+            } => (*threads, *mask, *policy),
             // Reports for non-hierarchical decisions (not produced by this
             // policy) are still recorded against the full partition.
             _ => (self.m_max(), self.params.allowed_mask, StealPolicy::Strict),
@@ -484,6 +493,19 @@ mod tests {
 
     const SITE: SiteId = SiteId::new(0);
 
+    /// A hierarchical decision's `(threads, mask, policy)`.
+    fn triple(d: &Decision) -> (usize, NodeMask, StealPolicy) {
+        match d {
+            Decision::Hierarchical {
+                threads,
+                mask,
+                policy,
+                ..
+            } => (*threads, *mask, *policy),
+            other => panic!("not hierarchical: {other:?}"),
+        }
+    }
+
     fn scheduler() -> IlanScheduler {
         IlanScheduler::new(IlanParams::for_topology(&presets::epyc_9354_2s()))
     }
@@ -491,11 +513,7 @@ mod tests {
     /// Runs one decide/record round with a synthetic time.
     fn round(s: &mut IlanScheduler, time: f64) -> Decision {
         let d = s.decide(SITE);
-        s.record(
-            SITE,
-            &d,
-            &TaskloopReport::synthetic(time, d.threads().unwrap_or(64)),
-        );
+        s.record(SITE, &d, &TaskloopReport::synthetic(time, triple(&d).0));
         d
     }
 
@@ -503,39 +521,39 @@ mod tests {
     fn priming_sequence() {
         let mut s = scheduler();
         let d1 = s.decide(SITE);
-        assert_eq!(d1.threads(), Some(64));
-        assert_eq!(d1.steal(), Some(StealPolicy::Strict));
-        assert_eq!(d1.mask(), Some(presets::epyc_9354_2s().all_nodes()));
+        assert_eq!(triple(&d1).0, 64);
+        assert_eq!(triple(&d1).2, StealPolicy::Strict);
+        assert_eq!(triple(&d1).1, presets::epyc_9354_2s().all_nodes());
         s.record(SITE, &d1, &TaskloopReport::synthetic(100.0, 64));
         let d2 = s.decide(SITE);
-        assert_eq!(d2.threads(), Some(32));
-        assert_eq!(d2.mask().unwrap().count(), 4);
+        assert_eq!(triple(&d2).0, 32);
+        assert_eq!(triple(&d2).1.count(), 4);
     }
 
     #[test]
     fn memory_bound_search_settles_low() {
         // Faster with fewer threads: t(64)=100, t(32)=60, t(8)=40, t(16)=45.
         let mut s = scheduler();
-        assert_eq!(round(&mut s, 100.0).threads(), Some(64));
-        assert_eq!(round(&mut s, 60.0).threads(), Some(32));
-        assert_eq!(round(&mut s, 40.0).threads(), Some(8)); // k=3 probes g
-        assert_eq!(round(&mut s, 45.0).threads(), Some(16)); // midpoint
-                                                             // Search finished at 8 threads → full-policy trial.
+        assert_eq!(triple(&round(&mut s, 100.0)).0, 64);
+        assert_eq!(triple(&round(&mut s, 60.0)).0, 32);
+        assert_eq!(triple(&round(&mut s, 40.0)).0, 8); // k=3 probes g
+        assert_eq!(triple(&round(&mut s, 45.0)).0, 16); // midpoint
+                                                        // Search finished at 8 threads → full-policy trial.
         let trial = s.decide(SITE);
         assert_eq!(s.phase(SITE), SearchPhase::StealTrial);
-        assert_eq!(trial.threads(), Some(8));
-        assert_eq!(trial.steal(), Some(StealPolicy::Full));
+        assert_eq!(triple(&trial).0, 8);
+        assert_eq!(triple(&trial).2, StealPolicy::Full);
         // Trial slower than strict best (40): keep strict.
         s.record(SITE, &trial, &TaskloopReport::synthetic(44.0, 8));
         assert_eq!(s.phase(SITE), SearchPhase::Settled);
         let settled = s.settled_decision(SITE).unwrap();
-        assert_eq!(settled.threads(), Some(8));
-        assert_eq!(settled.steal(), Some(StealPolicy::Strict));
+        assert_eq!(triple(settled).0, 8);
+        assert_eq!(triple(settled).2, StealPolicy::Strict);
         // Settled decision is sticky.
         for _ in 0..5 {
             let d = round(&mut s, 40.0);
-            assert_eq!(d.threads(), Some(8));
-            assert_eq!(d.steal(), Some(StealPolicy::Strict));
+            assert_eq!(triple(&d).0, 8);
+            assert_eq!(triple(&d).2, StealPolicy::Strict);
         }
     }
 
@@ -545,33 +563,33 @@ mod tests {
         let mut s = scheduler();
         round(&mut s, 60.0); // 64
         round(&mut s, 100.0); // 32
-        assert_eq!(round(&mut s, 75.0).threads(), Some(48));
-        assert_eq!(round(&mut s, 65.0).threads(), Some(56));
+        assert_eq!(triple(&round(&mut s, 75.0)).0, 48);
+        assert_eq!(triple(&round(&mut s, 65.0)).0, 56);
         let trial = s.decide(SITE);
-        assert_eq!(trial.threads(), Some(64));
-        assert_eq!(trial.steal(), Some(StealPolicy::Full));
+        assert_eq!(triple(&trial).0, 64);
+        assert_eq!(triple(&trial).2, StealPolicy::Full);
         // Trial faster: keep full.
         s.record(SITE, &trial, &TaskloopReport::synthetic(55.0, 64));
         let settled = s.settled_decision(SITE).unwrap();
-        assert_eq!(settled.steal(), Some(StealPolicy::Full));
+        assert_eq!(triple(settled).2, StealPolicy::Full);
     }
 
     #[test]
     fn no_moldability_skips_search() {
         let mut s = IlanScheduler::new(IlanParams::no_moldability(&presets::epyc_9354_2s()));
         let d1 = s.decide(SITE);
-        assert_eq!(d1.threads(), Some(64));
+        assert_eq!(triple(&d1).0, 64);
         s.record(SITE, &d1, &TaskloopReport::synthetic(100.0, 64));
         // Straight to the steal trial.
         assert_eq!(s.phase(SITE), SearchPhase::StealTrial);
         let trial = s.decide(SITE);
-        assert_eq!(trial.threads(), Some(64));
-        assert_eq!(trial.steal(), Some(StealPolicy::Full));
+        assert_eq!(triple(&trial).0, 64);
+        assert_eq!(triple(&trial).2, StealPolicy::Full);
         s.record(SITE, &trial, &TaskloopReport::synthetic(90.0, 64));
         assert_eq!(s.phase(SITE), SearchPhase::Settled);
         assert_eq!(
-            s.settled_decision(SITE).unwrap().steal(),
-            Some(StealPolicy::Full)
+            triple(s.settled_decision(SITE).unwrap()).2,
+            StealPolicy::Full
         );
     }
 
@@ -584,8 +602,8 @@ mod tests {
         s.record(SITE, &d, &TaskloopReport::synthetic(100.0, 64));
         assert_eq!(s.phase(SITE), SearchPhase::Settled);
         assert_eq!(
-            s.settled_decision(SITE).unwrap().steal(),
-            Some(StealPolicy::Strict)
+            triple(s.settled_decision(SITE).unwrap()).2,
+            StealPolicy::Strict
         );
     }
 
@@ -597,9 +615,9 @@ mod tests {
         let da = s.decide(a);
         s.record(a, &da, &TaskloopReport::synthetic(100.0, 64));
         // Site b still starts from scratch.
-        assert_eq!(s.decide(b).threads(), Some(64));
+        assert_eq!(triple(&s.decide(b)).0, 64);
         // Site a has advanced.
-        assert_eq!(s.decide(a).threads(), Some(32));
+        assert_eq!(triple(&s.decide(a)).0, 32);
     }
 
     #[test]
@@ -609,15 +627,15 @@ mod tests {
         let mut s = IlanScheduler::new(IlanParams::for_topology(&topo));
         assert_eq!(s.params().granularity, 4);
         let d1 = s.decide(SITE);
-        assert_eq!(d1.threads(), Some(8));
+        assert_eq!(triple(&d1).0, 8);
         s.record(SITE, &d1, &TaskloopReport::synthetic(100.0, 8));
         let d2 = s.decide(SITE);
-        assert_eq!(d2.threads(), Some(4));
+        assert_eq!(triple(&d2).0, 4);
         // Half machine faster → k=3 would probe g=4 == best → finished.
         s.record(SITE, &d2, &TaskloopReport::synthetic(50.0, 4));
         assert_eq!(s.phase(SITE), SearchPhase::StealTrial);
         let trial = s.decide(SITE);
-        assert_eq!(trial.threads(), Some(4));
+        assert_eq!(triple(&trial).0, 4);
     }
 
     #[test]
@@ -633,7 +651,7 @@ mod tests {
         };
         s.record(SITE, &d1, &report);
         let d2 = s.decide(SITE);
-        let mask = d2.mask().unwrap();
+        let mask = triple(&d2).1;
         assert!(mask.contains(ilan_topology::NodeId::new(5)));
         // 32 threads = 4 nodes, all on socket 1.
         assert_eq!(mask.count(), 4);
@@ -669,7 +687,7 @@ mod tests {
         );
         assert_eq!(warm.phase(SITE), SearchPhase::Settled);
         let d = warm.settled_decision(SITE).unwrap();
-        assert_eq!(d.threads(), settled.threads());
+        assert_eq!(triple(d).0, triple(&settled).0);
         // Unknown sites still search from scratch.
         assert_eq!(warm.phase(SiteId::new(99)), SearchPhase::Searching);
     }
@@ -690,8 +708,8 @@ mod tests {
         );
         assert_eq!(warm.phase(SITE), SearchPhase::Settled);
         assert_eq!(
-            warm.settled_decision(SITE).unwrap().threads(),
-            cold.settled_decision(SITE).unwrap().threads()
+            triple(warm.settled_decision(SITE).unwrap()).0,
+            triple(cold.settled_decision(SITE).unwrap()).0
         );
     }
 
@@ -705,7 +723,7 @@ mod tests {
         cold.record(SITE, &d, &TaskloopReport::synthetic(100.0, 64));
         let trial = cold.decide(SITE);
         cold.record(SITE, &trial, &TaskloopReport::synthetic(90.0, 64));
-        assert_eq!(cold.settled_decision(SITE).unwrap().threads(), Some(64));
+        assert_eq!(triple(cold.settled_decision(SITE).unwrap()).0, 64);
 
         let socket1 = ilan_topology::NodeMask::from_bits(0b1111_0000);
         let warm = IlanScheduler::with_warm_ptt(
@@ -713,8 +731,8 @@ mod tests {
             cold.ptt().clone(),
         );
         let d = warm.settled_decision(SITE).unwrap();
-        assert_eq!(d.threads(), Some(32));
-        assert!(d.mask().unwrap().is_subset(socket1));
+        assert_eq!(triple(d).0, 32);
+        assert!(triple(d).1.is_subset(socket1));
     }
 
     #[test]
@@ -726,18 +744,14 @@ mod tests {
         // must stay inside the partition.
         for time in [100.0, 60.0, 40.0, 45.0, 44.0, 43.0, 42.0] {
             let d = s.decide(SITE);
-            let threads = d.threads().unwrap();
+            let (threads, mask, _) = triple(&d);
             assert!(threads <= 32, "threads {threads} exceed partition");
-            assert!(
-                d.mask().unwrap().is_subset(socket1),
-                "mask {:?} escapes partition",
-                d.mask().unwrap()
-            );
+            assert!(mask.is_subset(socket1), "mask {mask:?} escapes partition");
             s.record(SITE, &d, &TaskloopReport::synthetic(time, threads));
         }
         // Priming starts at the partition size, not the machine size.
         let mut s2 = IlanScheduler::new(IlanParams::for_topology(&topo).restrict_to(socket1));
-        assert_eq!(s2.decide(SiteId::new(5)).threads(), Some(32));
+        assert_eq!(triple(&s2.decide(SiteId::new(5))).0, 32);
     }
 
     #[test]

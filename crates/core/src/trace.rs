@@ -10,11 +10,11 @@
 //! [`crate::SchedulerMetrics`] — the trace and the metrics
 //! exposition come from one write, so they cannot disagree.
 
-use crate::config::Decision;
 use crate::metrics::SchedulerMetrics;
 use crate::policy::Policy;
 use crate::report::TaskloopReport;
 use crate::site::SiteId;
+use crate::Decision;
 
 /// One recorded invocation.
 #[derive(Clone, Debug)]
@@ -69,7 +69,10 @@ impl<P: Policy> RecordingPolicy<P> {
     /// decisions only) — the exploration trajectory.
     pub fn thread_trajectory(&self, site: SiteId) -> Vec<usize> {
         self.entries_for(site)
-            .filter_map(|e| e.decision.threads())
+            .filter_map(|e| match e.decision {
+                Decision::Hierarchical { threads, .. } => Some(threads),
+                Decision::Flat | Decision::WorkSharing => None,
+            })
             .collect()
     }
 
@@ -91,7 +94,10 @@ impl<P: Policy> Policy for RecordingPolicy<P> {
 
     fn record(&mut self, site: SiteId, decision: &Decision, report: &TaskloopReport) {
         if let Some(m) = &self.metrics {
-            let threads = decision.threads().unwrap_or(report.threads);
+            let threads = match decision {
+                Decision::Hierarchical { threads, .. } => *threads,
+                Decision::Flat | Decision::WorkSharing => report.threads,
+            };
             m.note_invocation(site, threads, report.time_ns);
         }
         self.entries.push(TraceEntry {
@@ -146,7 +152,9 @@ mod tests {
         let time = |t: usize| 1e6 + t as f64 * 1e4;
         for _ in 0..6 {
             let d = p.decide(site);
-            let threads = d.threads().unwrap();
+            let Decision::Hierarchical { threads, .. } = d else {
+                panic!("{d:?}")
+            };
             p.record(site, &d, &TaskloopReport::synthetic(time(threads), threads));
         }
         let traj = p.thread_trajectory(site);
@@ -175,7 +183,9 @@ mod tests {
         for s in [0u64, 1, 0, 0, 1, 0] {
             let site = SiteId::new(s);
             let d = p.decide(site);
-            let threads = d.threads().unwrap();
+            let Decision::Hierarchical { threads, .. } = d else {
+                panic!("{d:?}")
+            };
             p.record(site, &d, &TaskloopReport::synthetic(time(threads), threads));
         }
 

@@ -2,18 +2,18 @@
 //! every combination a policy can legally emit must execute cleanly and
 //! report consistent numbers.
 
-use ilan::driver::{active_cores, build_plan, run_sim_invocation};
+use ilan::driver::run_sim_invocation;
 use ilan::{Decision, FixedPolicy, SiteId, StealPolicy};
 use ilan_numasim::{Locality, MachineParams, SimMachine, TaskSpec};
-use ilan_topology::{presets, NodeId, NodeMask, Topology};
+use ilan_topology::{active_cores, presets, ChunkAssignment, NodeId, NodeMask, Topology};
 
 fn tasks(topo: &Topology, n: usize) -> Vec<TaskSpec> {
-    let nodes = topo.num_nodes();
+    let blocked = ChunkAssignment::new(topo.all_nodes(), n);
     (0..n)
         .map(|i| TaskSpec {
             compute_ns: 20_000.0 + (i % 5) as f64 * 7_000.0,
             mem_bytes: 300_000.0,
-            home_node: NodeId::new(i * nodes / n),
+            home_node: blocked.node_of_chunk(i),
             locality: if i % 3 == 0 {
                 Locality::Scattered { spread: 0.6 }
             } else {
@@ -39,29 +39,28 @@ fn hierarchical_decision_matrix() {
         NodeMask::from_bits(0b1010_0101), // sparse, both sockets
     ] {
         for threads in [0usize, 8, 24, 64] {
-            for steal in [StealPolicy::Strict, StealPolicy::Full] {
+            for policy in [StealPolicy::Strict, StealPolicy::Full] {
                 for strict_fraction in [0.0, 0.5, 1.0] {
                     let decision = Decision::Hierarchical {
                         threads,
                         mask,
-                        steal,
                         strict_fraction,
+                        policy,
                     };
                     let mut machine =
                         SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
-                    let mut policy = FixedPolicy::new(decision.clone());
+                    let mut fixed = FixedPolicy::new(decision.clone());
                     let (d, report) =
-                        run_sim_invocation(&mut machine, &mut policy, SiteId::new(0), &specs);
+                        run_sim_invocation(&mut machine, &mut fixed, SiteId::new(0), &specs);
                     assert_eq!(d, decision);
                     assert!(
                         report.time_ns.is_finite() && report.time_ns > 0.0,
-                        "mask {mask:?} threads {threads} {steal:?} sf {strict_fraction}"
+                        "mask {mask:?} threads {threads} {policy:?} sf {strict_fraction}"
                     );
                     // Threads reported == cores activated.
-                    let cores = active_cores(&topo, mask, threads);
-                    assert_eq!(report.threads, cores.count());
+                    assert_eq!(report.threads, active_cores(&topo, mask, threads).count());
                     // Strict policy must never migrate.
-                    if steal == StealPolicy::Strict {
+                    if policy == StealPolicy::Strict {
                         assert_eq!(report.migrations, 0);
                     }
                 }
@@ -70,24 +69,33 @@ fn hierarchical_decision_matrix() {
     }
 }
 
-/// Plans built by the driver are valid exact covers for any task count.
+/// Every mode executes every chunk exactly once, for any task count.
 #[test]
-fn build_plan_covers_everything() {
+fn every_mode_covers_every_chunk() {
     let topo = presets::epyc_9354_2s();
-    for n in [1usize, 7, 63, 64, 65, 255, 1024] {
-        for mask in [topo.all_nodes(), NodeMask::first_n(3)] {
-            let d = Decision::Hierarchical {
-                threads: 0,
-                mask,
-                steal: StealPolicy::Full,
-                strict_fraction: 0.5,
-            };
-            // validate() inside PlacementPlan asserts the exact cover.
-            build_plan(&d, n).validate(n);
+    let mut machine = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
+    for n in [0usize, 1, 7, 63, 64, 65, 255, 1024] {
+        let specs = tasks(&topo, n);
+        let hier = |mask| Decision::Hierarchical {
+            threads: 0,
+            mask,
+            strict_fraction: 0.5,
+            policy: StealPolicy::Full,
+        };
+        for mode in [
+            hier(topo.all_nodes()),
+            hier(NodeMask::first_n(3)),
+            Decision::Flat,
+            Decision::WorkSharing,
+        ] {
+            let out = machine.run_taskloop_traced(topo.all_nodes(), &mode, &specs);
+            let mut runs = vec![0; n];
+            for r in &out.trace {
+                runs[r.task] += 1;
+            }
+            assert!(runs.iter().all(|&k| k == 1), "{mode:?}: {runs:?}");
         }
     }
-    build_plan(&Decision::Flat, 100).validate(100);
-    build_plan(&Decision::WorkSharing, 100).validate(100);
 }
 
 /// One chunk, sixty-four workers: the degenerate wide-machine case.
@@ -112,8 +120,8 @@ fn inactive_nodes_report_zero_speed() {
     let d = Decision::Hierarchical {
         threads: 16,
         mask,
-        steal: StealPolicy::Strict,
         strict_fraction: 1.0,
+        policy: StealPolicy::Strict,
     };
     let mut machine = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
     let mut policy = FixedPolicy::new(d);

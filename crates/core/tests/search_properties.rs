@@ -6,6 +6,14 @@ use ilan::{Decision, IlanParams, IlanScheduler, Policy, SiteId, TaskloopReport};
 use ilan_topology::presets;
 use proptest::prelude::*;
 
+/// A hierarchical decision's thread count.
+fn threads(d: &Decision) -> usize {
+    match d {
+        Decision::Hierarchical { threads, .. } => *threads,
+        other => panic!("not hierarchical: {other:?}"),
+    }
+}
+
 /// Drives one site with a deterministic response function `time(threads)`
 /// until settled (or `limit` invocations). Returns (explored thread counts,
 /// settled decision).
@@ -19,9 +27,9 @@ fn drive(
     let mut explored = Vec::new();
     for _ in 0..limit {
         let d = ilan.decide(site);
-        let threads = d.threads().expect("hierarchical");
-        explored.push(threads);
-        let report = TaskloopReport::synthetic(time(threads), threads);
+        let t = threads(&d);
+        explored.push(t);
+        let report = TaskloopReport::synthetic(time(t), t);
         ilan.record(site, &d, &report);
         if ilan.settled_decision(site).is_some() {
             break;
@@ -59,11 +67,11 @@ proptest! {
             .iter()
             .map(|&t| time(t))
             .fold(f64::INFINITY, f64::min);
-        let settled_time = time(settled.threads().unwrap());
+        let settled_time = time(threads(&settled));
         prop_assert!(
             settled_time <= best_time + 1e-9,
-            "settled {:?} at {settled_time}, best explored {best_time}",
-            settled.threads()
+            "settled {} at {settled_time}, best explored {best_time}",
+            threads(&settled)
         );
     }
 
@@ -83,12 +91,9 @@ proptest! {
             if ilan.settled_decision(site).is_some() {
                 break;
             }
-            let threads = d.threads().unwrap();
-            prop_assert!(
-                seen.insert(threads),
-                "re-explored {threads} before settling: {seen:?}"
-            );
-            ilan.record(site, &d, &TaskloopReport::synthetic(*t, threads));
+            let n = threads(&d);
+            prop_assert!(seen.insert(n), "re-explored {n} before settling: {seen:?}");
+            ilan.record(site, &d, &TaskloopReport::synthetic(*t, n));
         }
     }
 
@@ -104,14 +109,14 @@ proptest! {
             |t| 1e7 - slope * t as f64,
             12,
         );
-        prop_assert_eq!(settled.unwrap().threads(), Some(64));
+        prop_assert_eq!(threads(&settled.unwrap()), 64);
         // Increasing: fewer threads, faster.
         let (_, settled) = drive(
             IlanParams::for_topology(&topo).without_steal_trial(),
             |t| 1e6 + slope * t as f64,
             12,
         );
-        prop_assert_eq!(settled.unwrap().threads(), Some(8));
+        prop_assert_eq!(threads(&settled.unwrap()), 8);
     }
 
     /// Custom granularities are respected end-to-end.
@@ -143,7 +148,7 @@ proptest! {
             ilan.record(
                 site,
                 &d,
-                &TaskloopReport::synthetic(1e6, d.threads().unwrap()),
+                &TaskloopReport::synthetic(1e6, threads(&d)),
             );
             count += 1;
         }
@@ -176,8 +181,8 @@ mod objective_behaviour {
             time,
             14,
         );
-        let t_threads = time_settled.unwrap().threads().unwrap();
-        let e_threads = energy_settled.unwrap().threads().unwrap();
+        let t_threads = threads(&time_settled.unwrap());
+        let e_threads = threads(&energy_settled.unwrap());
         assert_eq!(t_threads, 64, "time objective must keep the machine");
         assert!(
             e_threads < t_threads,

@@ -95,11 +95,10 @@
 use crate::exec::{seek, Phase, PoolSet, WorkerInfo, Workers, EPS};
 use crate::outcome::{LoopOutcome, NodeOutcome, TaskRecord};
 use crate::params::MachineParams;
-use crate::plan::PlacementPlan;
 use crate::rates::CongestionField;
 use crate::task::TaskSpec;
 use ilan_faults::FaultPlan;
-use ilan_topology::{CoreId, CpuSet, NodeId, Topology};
+use ilan_topology::{active_cores, CoreId, CpuSet, ExecMode, NodeId, NodeMask, Topology};
 use ilan_trace::{EventKind, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -496,18 +495,22 @@ impl ColoMachine {
 
     /// Submits one taskloop invocation on `lane`: `lead_ns` of serial time
     /// (decision cost + the tenant's serial section), then dispatch, then
-    /// parallel execution on `active` cores under `plan`.
+    /// parallel execution under `mode`. A flat or work-sharing loop runs on
+    /// every core of `span` (the whole machine for a single application,
+    /// the tenant's partition on a shared one); a hierarchical loop runs on
+    /// the [`active_cores`] of its own mask and thread count.
     ///
     /// # Panics
-    /// Panics if the lane was never handed out or is already busy, the plan
-    /// does not cover `tasks`, a task fails [`TaskSpec::validate`] or has
-    /// its home node outside the topology, or `active` is empty / outside
-    /// the topology.
+    /// Panics if the lane was never handed out or is already busy, a task
+    /// fails [`TaskSpec::validate`] or has its home node outside the
+    /// topology, a flat or work-sharing loop's `span` is empty or outside
+    /// the topology, or a hierarchical `mode` fails [`active_cores`]'
+    /// preconditions.
     pub fn start_loop(
         &mut self,
         lane: usize,
-        active: &CpuSet,
-        plan: &PlacementPlan,
+        span: NodeMask,
+        mode: &ExecMode,
         tasks: Vec<TaskSpec>,
         lead_ns: f64,
     ) {
@@ -529,11 +532,17 @@ impl ColoMachine {
                 t.home_node
             );
         }
-        let mut workers = Workers::new(topo, active);
+        let active: CpuSet = match mode {
+            ExecMode::Flat | ExecMode::WorkSharing => topo.cpuset_of_mask(span),
+            ExecMode::Hierarchical { mask, threads, .. } => {
+                active_cores(topo, *mask, *threads).collect()
+            }
+        };
+        let mut workers = Workers::new(topo, &active);
         let perm_seed: u64 = rand::Rng::random(&mut self.rng);
         let mut recorder = self.tracing.then(Recorder::new);
         let pools = PoolSet::build(
-            plan,
+            mode,
             tasks.len(),
             &workers,
             topo.num_nodes(),
@@ -581,8 +590,8 @@ impl ColoMachine {
     pub(crate) fn run_alone(
         &mut self,
         lane: usize,
-        active: &CpuSet,
-        plan: &PlacementPlan,
+        span: NodeMask,
+        mode: &ExecMode,
         tasks: &[TaskSpec],
         traced: bool,
     ) -> LoopOutcome {
@@ -593,7 +602,7 @@ impl ColoMachine {
             .draw_outlier(&mut self.rng, self.params.topology.num_nodes());
         self.now_ns = 0.0;
         self.tracing = traced;
-        self.start_loop(lane, active, plan, tasks.to_vec(), 0.0);
+        self.start_loop(lane, span, mode, tasks.to_vec(), 0.0);
         // The machine was idle, so the new loop is the only live one.
         self.lanes[0].1.outlier_node = outlier;
         let (_, outcome) = self
@@ -847,9 +856,8 @@ impl ColoMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::NodeAssignment;
     use crate::task::Locality;
-    use ilan_topology::{presets, NodeMask};
+    use ilan_topology::{presets, ChunkAssignment, StealPolicy};
 
     fn chunked_tasks(n: usize, home: usize, compute: f64, bytes: f64) -> Vec<TaskSpec> {
         (0..n)
@@ -865,36 +873,32 @@ mod tests {
             .collect()
     }
 
-    fn node_plan(tasks: usize, node: usize) -> PlacementPlan {
-        PlacementPlan::Hierarchical {
-            assignments: vec![NodeAssignment {
-                node: NodeId::new(node),
-                tasks: (0..tasks).collect(),
-                strict_count: tasks,
-            }],
-        }
+    /// Strict hierarchical over the first `nodes` nodes, every core active.
+    fn split(nodes: usize) -> ExecMode {
+        strict_on(NodeMask::first_n(nodes))
     }
 
-    fn split_plan(tasks: usize, nodes: usize) -> PlacementPlan {
-        let mut assignments = Vec::new();
-        for node in 0..nodes {
-            let ts: Vec<usize> = (0..tasks).filter(|i| i * nodes / tasks == node).collect();
-            let strict = ts.len();
-            assignments.push(NodeAssignment {
-                node: NodeId::new(node),
-                tasks: ts,
-                strict_count: strict,
-            });
+    /// Every chunk strict on `node`, every core of it active.
+    fn on_node(node: usize) -> ExecMode {
+        strict_on(NodeMask::single(NodeId::new(node)))
+    }
+
+    fn strict_on(mask: NodeMask) -> ExecMode {
+        ExecMode::Hierarchical {
+            mask,
+            threads: 0,
+            strict_fraction: 1.0,
+            policy: StealPolicy::Strict,
         }
-        PlacementPlan::Hierarchical { assignments }
     }
 
     fn both_home_tasks(n: usize, nodes: usize) -> Vec<TaskSpec> {
+        let blocked = ChunkAssignment::new(NodeMask::first_n(nodes), n);
         (0..n)
             .map(|i| TaskSpec {
                 compute_ns: 5_000.0,
                 mem_bytes: 50_000.0,
-                home_node: NodeId::new(i * nodes / n),
+                home_node: blocked.node_of_chunk(i),
                 locality: Locality::Chunked,
                 data_mask: NodeMask::first_n(nodes),
                 cache_reuse: 0.2,
@@ -908,7 +912,7 @@ mod tests {
         // A free pop or an empty barrier is a zero-length step, not a
         // deadline: the loop must still complete.
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let zeroes: [fn(&mut MachineParams); 2] =
             [|p| p.pop_cost_ns = 0.0, |p| p.barrier_base_ns = 0.0];
         for zero in zeroes {
@@ -916,13 +920,7 @@ mod tests {
             zero(&mut params);
             let mut colo = ColoMachine::new(params, 7);
             let lane = colo.add_lane();
-            colo.start_loop(
-                lane,
-                &cores,
-                &PlacementPlan::flat(),
-                both_home_tasks(32, 2),
-                0.0,
-            );
+            colo.start_loop(lane, all, &ExecMode::Flat, both_home_tasks(32, 2), 0.0);
             let (done, out) = colo
                 .run_until_next_completion()
                 .expect("the loop completes");
@@ -939,26 +937,27 @@ mod tests {
         // node 0: its traffic crosses into node 0's controller. A must get
         // slower when B co-runs — the shared interference channel.
         let topo = presets::tiny_2x4();
-        let cores0 = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
-        let cores1 = topo.cpuset_of_mask(NodeMask::single(NodeId::new(1)));
+        let node0 = NodeMask::single(NodeId::new(0));
+        let node1 = NodeMask::single(NodeId::new(1));
         let a_tasks = || chunked_tasks(64, 0, 500.0, 800_000.0);
-        // B's chunks are homed on node 0 (its data lives there) but a plan
-        // pins their execution to node 1: all of B's traffic is remote.
-        let b_plan = node_plan(64, 1);
+        // B's chunks are homed on node 0 (its data lives there) but its
+        // placement pins their execution to node 1: all of B's traffic is
+        // remote.
+        let b_mode = on_node(1);
         let b_tasks = || chunked_tasks(64, 0, 500.0, 800_000.0);
 
         let t_alone = {
             let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
             let a = colo.add_lane();
-            colo.start_loop(a, &cores0, &node_plan(64, 0), a_tasks(), 0.0);
+            colo.start_loop(a, node0, &on_node(0), a_tasks(), 0.0);
             colo.run_until_next_completion().unwrap().1.makespan_ns
         };
         let t_shared = {
             let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
             let a = colo.add_lane();
             let b = colo.add_lane();
-            colo.start_loop(a, &cores0, &node_plan(64, 0), a_tasks(), 0.0);
-            colo.start_loop(b, &cores1, &b_plan, b_tasks(), 0.0);
+            colo.start_loop(a, node0, &on_node(0), a_tasks(), 0.0);
+            colo.start_loop(b, node1, &b_mode, b_tasks(), 0.0);
             loop {
                 let (lane, out) = colo.run_until_next_completion().unwrap();
                 if lane == a {
@@ -978,16 +977,16 @@ mod tests {
         // no shared controller, no shared link, no shared cores ⇒ lane A is
         // unaffected (tiny tolerance for float noise).
         let topo = presets::tiny_2x4();
-        let cores0 = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
-        let cores1 = topo.cpuset_of_mask(NodeMask::single(NodeId::new(1)));
+        let node0 = NodeMask::single(NodeId::new(0));
+        let node1 = NodeMask::single(NodeId::new(1));
 
         let t_alone = {
             let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
             let a = colo.add_lane();
             colo.start_loop(
                 a,
-                &cores0,
-                &node_plan(64, 0),
+                node0,
+                &on_node(0),
                 chunked_tasks(64, 0, 500.0, 800_000.0),
                 0.0,
             );
@@ -999,15 +998,15 @@ mod tests {
             let b = colo.add_lane();
             colo.start_loop(
                 a,
-                &cores0,
-                &node_plan(64, 0),
+                node0,
+                &on_node(0),
                 chunked_tasks(64, 0, 500.0, 800_000.0),
                 0.0,
             );
             colo.start_loop(
                 b,
-                &cores1,
-                &node_plan(64, 1),
+                node1,
+                &on_node(1),
                 chunked_tasks(64, 1, 500.0, 800_000.0),
                 0.0,
             );
@@ -1029,21 +1028,21 @@ mod tests {
         // Two compute-bound lanes on the same cores: each runs at roughly
         // half speed, so the pair takes roughly twice as long as one alone.
         let topo = presets::tiny_2x4();
-        let cores0 = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
+        let node0 = NodeMask::single(NodeId::new(0));
         let work = || chunked_tasks(64, 0, 200_000.0, 1_000.0);
 
         let t_alone = {
             let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
             let a = colo.add_lane();
-            colo.start_loop(a, &cores0, &node_plan(64, 0), work(), 0.0);
+            colo.start_loop(a, node0, &on_node(0), work(), 0.0);
             colo.run_until_next_completion().unwrap().1.makespan_ns
         };
         let t_both = {
             let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
             let a = colo.add_lane();
             let b = colo.add_lane();
-            colo.start_loop(a, &cores0, &node_plan(64, 0), work(), 0.0);
-            colo.start_loop(b, &cores0, &node_plan(64, 0), work(), 0.0);
+            colo.start_loop(a, node0, &on_node(0), work(), 0.0);
+            colo.start_loop(b, node0, &on_node(0), work(), 0.0);
             let mut last = 0.0f64;
             while let Some((_, out)) = colo.run_until_next_completion() {
                 last = last.max(out.makespan_ns);
@@ -1059,11 +1058,11 @@ mod tests {
     #[test]
     fn lead_time_delays_execution() {
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let run = |lead: f64| {
             let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 3);
             let a = colo.add_lane();
-            colo.start_loop(a, &cores, &split_plan(32, 2), both_home_tasks(32, 2), lead);
+            colo.start_loop(a, all, &split(2), both_home_tasks(32, 2), lead);
             colo.run_until_next_completion().unwrap().1.makespan_ns
         };
         let base = run(0.0);
@@ -1077,10 +1076,10 @@ mod tests {
     #[test]
     fn run_until_deadline_stops_short() {
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 3);
         let a = colo.add_lane();
-        colo.start_loop(a, &cores, &split_plan(32, 2), both_home_tasks(32, 2), 0.0);
+        colo.start_loop(a, all, &split(2), both_home_tasks(32, 2), 0.0);
         // A deadline far before completion: no outcome, clock at deadline.
         assert!(colo.run_until_ns(10.0).is_none());
         assert!((colo.now_ns() - 10.0).abs() < 1e-9);
@@ -1097,19 +1096,13 @@ mod tests {
     #[test]
     fn traced_lanes_audit_clean() {
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 5);
         colo.set_tracing(true);
         let a = colo.add_lane();
         let b = colo.add_lane();
-        colo.start_loop(a, &cores, &split_plan(32, 2), both_home_tasks(32, 2), 0.0);
-        colo.start_loop(
-            b,
-            &cores,
-            &PlacementPlan::flat(),
-            both_home_tasks(24, 2),
-            500.0,
-        );
+        colo.start_loop(a, all, &split(2), both_home_tasks(32, 2), 0.0);
+        colo.start_loop(b, all, &ExecMode::Flat, both_home_tasks(24, 2), 500.0);
         let mut seen = 0;
         while let Some((_, out)) = colo.run_until_next_completion() {
             seen += 1;
@@ -1123,7 +1116,7 @@ mod tests {
                         .map(|n| ilan_trace::NodeTally {
                             tasks: n.tasks,
                             // Sim locality is defined against data homes,
-                            // which the placement-plan event log cannot see.
+                            // which the log's placement events cannot see.
                             local_tasks: None,
                         })
                         .collect(),
@@ -1138,10 +1131,10 @@ mod tests {
     #[test]
     fn untraced_lanes_carry_no_events() {
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 5);
         let a = colo.add_lane();
-        colo.start_loop(a, &cores, &split_plan(32, 2), both_home_tasks(32, 2), 0.0);
+        colo.start_loop(a, all, &split(2), both_home_tasks(32, 2), 0.0);
         let (_, out) = colo.run_until_next_completion().unwrap();
         assert!(out.events.is_empty());
     }
@@ -1162,7 +1155,7 @@ mod tests {
         let factor = plan.node_slowdown(0);
 
         let topo = presets::tiny_2x4();
-        let cores0 = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
+        let node0 = NodeMask::single(NodeId::new(0));
         let run = |plan: Option<FaultPlan>| {
             let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
             if let Some(p) = plan {
@@ -1171,8 +1164,8 @@ mod tests {
             let a = colo.add_lane();
             colo.start_loop(
                 a,
-                &cores0,
-                &node_plan(64, 0),
+                node0,
+                &on_node(0),
                 chunked_tasks(64, 0, 200_000.0, 1_000.0),
                 0.0,
             );
@@ -1204,14 +1197,14 @@ mod tests {
             .expect("some seed stalls one worker");
 
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let run = |plan: Option<FaultPlan>| {
             let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 3);
             if let Some(p) = plan {
                 colo.set_fault_plan(p);
             }
             let a = colo.add_lane();
-            colo.start_loop(a, &cores, &split_plan(32, 2), both_home_tasks(32, 2), 0.0);
+            colo.start_loop(a, all, &split(2), both_home_tasks(32, 2), 0.0);
             colo.run_until_next_completion().unwrap().1
         };
         let healthy = run(None);
@@ -1251,7 +1244,7 @@ mod tests {
     #[test]
     fn lane_ids_stay_valid_after_many_lanes() {
         let topo = presets::tiny_2x4();
-        let cores0 = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
+        let node0 = NodeMask::single(NodeId::new(0));
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
         let ids: Vec<usize> = (0..300).map(|_| colo.add_lane()).collect();
         assert_eq!(ids, (0..300).collect::<Vec<_>>());
@@ -1261,8 +1254,8 @@ mod tests {
         for lane in [299, 0, 150] {
             colo.start_loop(
                 lane,
-                &cores0,
-                &node_plan(8, 0),
+                node0,
+                &on_node(0),
                 chunked_tasks(8, 0, 1_000.0, 1_000.0),
                 0.0,
             );
@@ -1276,17 +1269,17 @@ mod tests {
     #[test]
     fn lane_is_idle_once_its_loop_completes() {
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 3);
         let a = colo.add_lane();
-        colo.start_loop(a, &cores, &split_plan(32, 2), both_home_tasks(32, 2), 0.0);
+        colo.start_loop(a, all, &split(2), both_home_tasks(32, 2), 0.0);
         assert!(colo.lane_busy(a));
         let (done, _) = colo.run_until_next_completion().unwrap();
         assert_eq!(done, a);
         assert!(!colo.lane_busy(a));
         assert!(!colo.any_busy());
         // The idle lane accepts its next loop.
-        colo.start_loop(a, &cores, &split_plan(32, 2), both_home_tasks(32, 2), 0.0);
+        colo.start_loop(a, all, &split(2), both_home_tasks(32, 2), 0.0);
         assert!(colo.lane_busy(a));
     }
 
@@ -1299,11 +1292,10 @@ mod tests {
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
         let lanes: Vec<usize> = (0..4).map(|_| colo.add_lane()).collect();
         for (lane, node) in [(lanes[3], 1), (lanes[1], 0)] {
-            let cores = topo.cpuset_of_mask(NodeMask::single(NodeId::new(node)));
             colo.start_loop(
                 lane,
-                &cores,
-                &node_plan(16, node),
+                NodeMask::single(NodeId::new(node)),
+                &on_node(node),
                 chunked_tasks(16, node, 20_000.0, 100_000.0),
                 0.0,
             );
@@ -1320,11 +1312,11 @@ mod tests {
     #[should_panic(expected = "lane 2 was never handed out by add_lane")]
     fn starting_an_unknown_lane_panics_clearly() {
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
         colo.add_lane();
         colo.add_lane();
-        colo.start_loop(2, &cores, &split_plan(8, 2), both_home_tasks(8, 2), 0.0);
+        colo.start_loop(2, all, &split(2), both_home_tasks(8, 2), 0.0);
     }
 
     #[test]
@@ -1332,13 +1324,13 @@ mod tests {
     fn starting_a_task_homed_outside_the_topology_panics() {
         // Two nodes: a home of 5 would land in the padding of a pricing row.
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
         let a = colo.add_lane();
         colo.start_loop(
             a,
-            &cores,
-            &split_plan(4, 1),
+            all,
+            &split(1),
             chunked_tasks(4, 5, 1_000.0, 1_000.0),
             0.0,
         );
@@ -1348,12 +1340,12 @@ mod tests {
     #[should_panic(expected = "spread must be in [0,1]")]
     fn starting_an_invalid_task_panics() {
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
         let a = colo.add_lane();
         let mut tasks = both_home_tasks(4, 2);
         tasks[1].locality = Locality::Scattered { spread: 1.5 };
-        colo.start_loop(a, &cores, &split_plan(4, 2), tasks, 0.0);
+        colo.start_loop(a, all, &split(2), tasks, 0.0);
     }
 
     #[test]
@@ -1363,9 +1355,9 @@ mod tests {
         let topo = presets::tiny_2x4();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo), 1);
         let a = colo.add_lane();
-        let cores0 = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
+        let node0 = NodeMask::single(NodeId::new(0));
         let work = chunked_tasks(64, 0, 200_000.0, 1_000.0);
-        colo.start_loop(a, &cores0, &node_plan(64, 0), work, 0.0);
+        colo.start_loop(a, node0, &on_node(0), work, 0.0);
         colo.run_until_next_completion().unwrap();
         let counts = colo.event_counts();
         assert_eq!(counts.repriced_chunks, 64);
@@ -1380,17 +1372,11 @@ mod tests {
             .find(|p| !p.stalls().is_empty() && !p.slow_nodes().is_empty())
             .expect("some seed stalls a worker and slows a node");
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo), 4);
         let (a, b) = (colo.add_lane(), colo.add_lane());
-        colo.start_loop(a, &cores, &split_plan(48, 2), both_home_tasks(48, 2), 0.0);
-        colo.start_loop(
-            b,
-            &cores,
-            &PlacementPlan::flat(),
-            both_home_tasks(40, 2),
-            700.0,
-        );
+        colo.start_loop(a, all, &split(2), both_home_tasks(48, 2), 0.0);
+        colo.start_loop(b, all, &ExecMode::Flat, both_home_tasks(40, 2), 700.0);
         // A plan installed mid-run re-prices every chunk in flight.
         assert!(colo.run_until_ns(20_000.0).is_none());
         let before = colo.event_counts();
@@ -1417,17 +1403,11 @@ mod tests {
             .cores_per_ccd(8)
             .build()
             .expect("valid topology");
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let mut colo = ColoMachine::new(MachineParams::for_topology(&topo), 2);
         let (a, b) = (colo.add_lane(), colo.add_lane());
-        colo.start_loop(a, &cores, &split_plan(400, 4), both_home_tasks(400, 4), 0.0);
-        colo.start_loop(
-            b,
-            &cores,
-            &PlacementPlan::flat(),
-            both_home_tasks(300, 4),
-            0.0,
-        );
+        colo.start_loop(a, all, &split(4), both_home_tasks(400, 4), 0.0);
+        colo.start_loop(b, all, &ExecMode::Flat, both_home_tasks(300, 4), 0.0);
         let mut executed = 0;
         while let Some((_, out)) = colo.run_until_next_completion() {
             assert_eq!(out.threads, 96);
@@ -1439,25 +1419,13 @@ mod tests {
     #[test]
     fn deterministic_across_replays() {
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let replay = |seed: u64| {
             let mut colo = ColoMachine::new(MachineParams::for_topology(&topo), seed);
             let a = colo.add_lane();
             let b = colo.add_lane();
-            colo.start_loop(
-                a,
-                &cores,
-                &PlacementPlan::flat(),
-                both_home_tasks(40, 2),
-                0.0,
-            );
-            colo.start_loop(
-                b,
-                &cores,
-                &PlacementPlan::flat(),
-                both_home_tasks(24, 2),
-                1_000.0,
-            );
+            colo.start_loop(a, all, &ExecMode::Flat, both_home_tasks(40, 2), 0.0);
+            colo.start_loop(b, all, &ExecMode::Flat, both_home_tasks(24, 2), 1_000.0);
             let mut trace = Vec::new();
             while let Some((lane, out)) = colo.run_until_next_completion() {
                 trace.push((lane, out.makespan_ns, colo.now_ns()));

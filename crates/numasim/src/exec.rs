@@ -18,10 +18,9 @@
 //! Sets of workers (idle, stale, finished) are bitsets, 64 workers a word.
 
 use crate::params::MachineParams;
-use crate::plan::PlacementPlan;
 use crate::rates::ChunkPricing;
 use crate::task::TaskSpec;
-use ilan_topology::{CoreId, CpuSet, Topology};
+use ilan_topology::{strict_count, ChunkAssignment, CoreId, CpuSet, ExecMode, Topology};
 use ilan_trace::{EventKind, Recorder, DISPATCHER};
 use std::collections::VecDeque;
 
@@ -38,7 +37,7 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One per-node task pool of a hierarchical plan.
+/// One per-node task pool of a hierarchical loop.
 pub(crate) struct NodePool {
     /// Chunk indices in execution order. Strict chunks are at the front.
     pub(crate) queue: VecDeque<usize>,
@@ -81,12 +80,16 @@ pub(crate) enum PoolSet {
 }
 
 impl PoolSet {
-    /// Materializes a plan into pools for the given worker set. When a
-    /// `tracer` is supplied, one [`EventKind::ChunkEnqueue`] is recorded per
-    /// chunk (home = the node whose pool — or whose worker's deque — receives
-    /// it) at dispatch time `now_ns`.
+    /// Materializes `mode`'s placement of `num_tasks` chunks into pools for
+    /// the given worker set. A hierarchical node's pool holds its
+    /// [`ChunkAssignment::chunks_of_rank`] range, the first
+    /// [`strict_count`] of them NUMA-strict — the range and strict end the
+    /// native pool writes into its cursors. When a `tracer` is supplied,
+    /// one [`EventKind::ChunkEnqueue`] is recorded per chunk (home = the
+    /// node whose pool — or whose worker's deque — receives it) at dispatch
+    /// time `now_ns`.
     pub(crate) fn build(
-        plan: &PlacementPlan,
+        mode: &ExecMode,
         num_tasks: usize,
         workers: &Workers,
         num_nodes: usize,
@@ -94,7 +97,6 @@ impl PoolSet {
         mut tracer: Option<&mut Recorder>,
         now_ns: f64,
     ) -> PoolSet {
-        plan.validate(num_tasks);
         let enqueue =
             |tracer: &mut Option<&mut Recorder>, chunk: usize, home: usize, strict: bool| {
                 if let Some(tr) = tracer.as_deref_mut() {
@@ -110,8 +112,8 @@ impl PoolSet {
                     );
                 }
             };
-        match plan {
-            PlacementPlan::Flat => {
+        match mode {
+            ExecMode::Flat => {
                 // Contiguous blocks (taskloop splitting) assigned to workers
                 // by a seeded permutation (random initial placement).
                 let w = workers.len();
@@ -133,29 +135,32 @@ impl PoolSet {
                 }
                 PoolSet::Flat(per_worker)
             }
-            PlacementPlan::Hierarchical { assignments } => {
+            ExecMode::Hierarchical {
+                mask,
+                strict_fraction,
+                policy,
+                ..
+            } => {
+                let assignment = ChunkAssignment::new(*mask, num_tasks);
                 let mut per_node: Vec<NodePool> = (0..num_nodes)
                     .map(|_| NodePool {
                         queue: VecDeque::new(),
                         strict_remaining: 0,
                     })
                     .collect();
-                for a in assignments {
-                    let pool = &mut per_node[a.node.index()];
-                    assert!(
-                        a.tasks.is_empty() || workers.per_node[a.node.index()] > 0,
-                        "plan assigns tasks to {} but no active core lives there",
-                        a.node
-                    );
-                    for (j, &c) in a.tasks.iter().enumerate() {
-                        enqueue(&mut tracer, c, a.node.index(), j < a.strict_count);
+                for (rank, node) in mask.iter().enumerate() {
+                    let chunks = assignment.chunks_of_rank(rank);
+                    let strict = strict_count(chunks.len(), *policy, *strict_fraction);
+                    for (j, c) in chunks.clone().enumerate() {
+                        enqueue(&mut tracer, c, node.index(), j < strict);
                     }
-                    pool.queue.extend(a.tasks.iter().copied());
-                    pool.strict_remaining += a.strict_count;
+                    let pool = &mut per_node[node.index()];
+                    pool.queue.extend(chunks);
+                    pool.strict_remaining = strict;
                 }
                 PoolSet::Hier(per_node)
             }
-            PlacementPlan::Static => {
+            ExecMode::WorkSharing => {
                 let w = workers.len();
                 let mut per_worker: Vec<VecDeque<usize>> =
                     (0..w).map(|_| VecDeque::new()).collect();

@@ -28,20 +28,23 @@
 //!   names (DVFS, external system noise).
 //!
 //! [`SimMachine`] executes one *taskloop invocation* at a time: the caller
-//! provides the set of active cores, a [`PlacementPlan`] (flat baseline pool,
-//! hierarchical per-node pools with a NUMA-strict fraction, or static
-//! work-sharing slices) and the task chunks; it returns a [`LoopOutcome`] with
-//! the makespan, per-node performance, and accumulated scheduling overhead.
+//! provides the loop's [`ExecMode`](ilan_topology::ExecMode) — the
+//! placement description the native runtime executes too (flat baseline
+//! pool, hierarchical per-node pools with a NUMA-strict fraction, or static
+//! work-sharing slices), resolved by the same rules of
+//! [`ilan_topology::placement`] — the nodes a flat or work-sharing loop
+//! spans, and the task chunks; it returns a [`LoopOutcome`] with the
+//! makespan, per-node performance, and accumulated scheduling overhead.
 //! [`ColoMachine`] runs several tenants' invocations concurrently on one
-//! machine. There is one event loop: a `SimMachine` is a `ColoMachine` with a
-//! single lane. Scheduling *policy* (which plan, how many threads) lives in
-//! the `ilan` crate — this crate is purely the machine.
+//! machine. There is one event loop: a `SimMachine` is a `ColoMachine` with
+//! a single lane. Scheduling *policy* (which mode, how many threads) lives
+//! in the `ilan` crate — this crate is purely the machine.
 //!
 //! # Example
 //!
 //! ```
-//! use ilan_numasim::{MachineParams, SimMachine, TaskSpec, Locality, PlacementPlan};
-//! use ilan_topology::presets;
+//! use ilan_numasim::{MachineParams, SimMachine, TaskSpec, Locality};
+//! use ilan_topology::{presets, ExecMode};
 //!
 //! let topo = presets::tiny_2x4();
 //! let params = MachineParams::for_topology(&topo);
@@ -60,8 +63,8 @@
 //!     })
 //!     .collect();
 //!
-//! let cores = machine.topology().cpuset_of_mask(machine.topology().all_nodes());
-//! let outcome = machine.run_taskloop(&cores, &PlacementPlan::flat(), &tasks);
+//! let all = machine.topology().all_nodes();
+//! let outcome = machine.run_taskloop(all, &ExecMode::Flat, &tasks);
 //! assert!(outcome.makespan_ns > 0.0);
 //! assert_eq!(outcome.tasks_executed(), 64);
 //! ```
@@ -75,7 +78,6 @@ pub mod metrics;
 mod noise;
 mod outcome;
 mod params;
-mod plan;
 mod rates;
 mod task;
 
@@ -85,7 +87,6 @@ pub use metrics::SimMetrics;
 pub use noise::NoiseParams;
 pub use outcome::{LoopOutcome, NodeOutcome, TaskRecord};
 pub use params::MachineParams;
-pub use plan::{NodeAssignment, PlacementPlan};
 pub use task::{Locality, TaskSpec};
 
 /// Event-tracing layer (re-exported): [`LoopOutcome::events`] is an

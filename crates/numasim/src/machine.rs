@@ -4,9 +4,8 @@ use crate::colo::{ColoMachine, EventCounts};
 use crate::metrics::SimMetrics;
 use crate::outcome::LoopOutcome;
 use crate::params::MachineParams;
-use crate::plan::PlacementPlan;
 use crate::task::TaskSpec;
-use ilan_topology::{CpuSet, Topology};
+use ilan_topology::{ExecMode, NodeMask, Topology};
 
 /// The lane of the machine's [`ColoMachine`] that runs every invocation.
 const LANE: usize = 0;
@@ -89,20 +88,20 @@ impl SimMachine {
         self.now_ns += ns;
     }
 
-    /// Executes one taskloop invocation on the given active cores with the
-    /// given placement plan, advancing the global clock by its makespan.
+    /// Executes one taskloop invocation under `mode`, advancing the global
+    /// clock by its makespan. A flat or work-sharing loop runs on every core
+    /// of `span`; a hierarchical one on its own mask and thread count (see
+    /// [`ColoMachine::start_loop`]).
     ///
     /// # Panics
-    /// Panics if the plan does not cover the tasks exactly, if `active` is
-    /// empty or references cores outside the topology, or if the plan assigns
-    /// work to a node with no active cores.
+    /// Panics on any [`ColoMachine::start_loop`] precondition.
     pub fn run_taskloop(
         &mut self,
-        active: &CpuSet,
-        plan: &PlacementPlan,
+        span: NodeMask,
+        mode: &ExecMode,
         tasks: &[TaskSpec],
     ) -> LoopOutcome {
-        self.invoke(active, plan, tasks, false)
+        self.invoke(span, mode, tasks, false)
     }
 
     /// Like [`run_taskloop`](Self::run_taskloop), additionally collecting a
@@ -113,22 +112,22 @@ impl SimMachine {
     /// default.
     pub fn run_taskloop_traced(
         &mut self,
-        active: &CpuSet,
-        plan: &PlacementPlan,
+        span: NodeMask,
+        mode: &ExecMode,
         tasks: &[TaskSpec],
     ) -> LoopOutcome {
-        self.invoke(active, plan, tasks, true)
+        self.invoke(span, mode, tasks, true)
     }
 
     fn invoke(
         &mut self,
-        active: &CpuSet,
-        plan: &PlacementPlan,
+        span: NodeMask,
+        mode: &ExecMode,
         tasks: &[TaskSpec],
         traced: bool,
     ) -> LoopOutcome {
         let before = self.colo.event_counts();
-        let outcome = self.colo.run_alone(LANE, active, plan, tasks, traced);
+        let outcome = self.colo.run_alone(LANE, span, mode, tasks, traced);
         self.now_ns += outcome.makespan_ns;
         if let Some(m) = &self.metrics {
             m.record_outcome(&outcome);
@@ -142,22 +141,30 @@ impl SimMachine {
 mod tests {
     use super::*;
     use crate::noise::NoiseParams;
-    use crate::plan::NodeAssignment;
     use crate::task::Locality;
-    use ilan_topology::{presets, CoreId, NodeId, NodeMask};
+    use ilan_topology::{presets, ChunkAssignment, NodeId, StealPolicy};
 
     fn tasks(n: usize) -> Vec<TaskSpec> {
-        (0..n)
-            .map(|i| TaskSpec {
+        uniform_tasks(n, 2, 50_000.0)
+            .into_iter()
+            .map(|t| TaskSpec {
                 compute_ns: 5_000.0,
-                mem_bytes: 50_000.0,
-                home_node: NodeId::new(i * 2 / n),
-                locality: Locality::Chunked,
-                data_mask: NodeMask::first_n(2),
                 cache_reuse: 0.2,
                 fits_l3: true,
+                ..t
             })
             .collect()
+    }
+
+    /// Hierarchical over the first `nodes` nodes, every core active, the
+    /// first `strict_fraction` of each node's chunks NUMA-strict.
+    fn hier(nodes: usize, strict_fraction: f64) -> ExecMode {
+        ExecMode::Hierarchical {
+            mask: NodeMask::first_n(nodes),
+            threads: 0,
+            strict_fraction,
+            policy: StealPolicy::Full,
+        }
     }
 
     #[test]
@@ -165,9 +172,8 @@ mod tests {
         let topo = presets::tiny_2x4();
         let run = |seed| {
             let mut m = SimMachine::new(MachineParams::for_topology(&topo), seed);
-            let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-            m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks(32))
-                .makespan_ns
+            let all = m.topology().all_nodes();
+            m.run_taskloop(all, &ExecMode::Flat, &tasks(32)).makespan_ns
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6), "different seeds should differ under noise");
@@ -180,24 +186,10 @@ mod tests {
         // deterministic distribution must not depend on the seed when the
         // machine is noiseless.
         let topo = presets::tiny_2x4();
-        let plan = PlacementPlan::Hierarchical {
-            assignments: vec![
-                crate::NodeAssignment {
-                    node: NodeId::new(0),
-                    tasks: (0..16).collect(),
-                    strict_count: 16,
-                },
-                crate::NodeAssignment {
-                    node: NodeId::new(1),
-                    tasks: (16..32).collect(),
-                    strict_count: 16,
-                },
-            ],
-        };
         let run = |seed| {
             let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), seed);
-            let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-            m.run_taskloop(&cores, &plan, &tasks(32)).makespan_ns
+            m.run_taskloop(topo.all_nodes(), &hier(2, 1.0), &tasks(32))
+                .makespan_ns
         };
         assert_eq!(run(1), run(99));
     }
@@ -207,8 +199,8 @@ mod tests {
         let topo = presets::tiny_2x4();
         let run = |seed| {
             let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), seed);
-            let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-            m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks(32))
+            let all = m.topology().all_nodes();
+            m.run_taskloop(all, &ExecMode::Flat, &tasks(32))
                 .locality_fraction()
         };
         // Different permutations land different chunks locally. Any two
@@ -225,12 +217,12 @@ mod tests {
     fn clock_accumulates() {
         let topo = presets::tiny_2x4();
         let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
-        let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
+        let all = topo.all_nodes();
         assert_eq!(m.now_ns(), 0.0);
-        let o1 = m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks(16));
+        let o1 = m.run_taskloop(all, &ExecMode::Flat, &tasks(16));
         assert!((m.now_ns() - o1.makespan_ns).abs() < 1e-9);
         m.advance_serial(1_000.0);
-        let o2 = m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks(16));
+        let o2 = m.run_taskloop(all, &ExecMode::Flat, &tasks(16));
         assert!((m.now_ns() - (o1.makespan_ns + 1_000.0 + o2.makespan_ns)).abs() < 1e-6);
     }
 
@@ -251,22 +243,19 @@ mod tests {
         use crate::metrics::SimMetrics;
 
         let topo = presets::tiny_2x4();
-        // All work homed on node 0 with a fully stealable tail: node 1's
-        // idle workers must batch-steal, so migrations are guaranteed.
-        let plan = PlacementPlan::Hierarchical {
-            assignments: vec![crate::NodeAssignment {
-                node: NodeId::new(0),
-                tasks: (0..32).collect(),
-                strict_count: 0,
-            }],
-        };
+        // Node 0's chunks are forty times node 1's and wholly stealable:
+        // node 1's idle workers must batch-steal, so migrations are
+        // guaranteed.
+        let mut work = tasks(32);
+        for t in &mut work[..16] {
+            t.compute_ns *= 40.0;
+        }
         let run = |metrics: Option<SimMetrics>| {
             let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 3);
             if let Some(metrics) = metrics {
                 m.attach_metrics(metrics);
             }
-            let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-            m.run_taskloop_traced(&cores, &plan, &tasks(32))
+            m.run_taskloop_traced(topo.all_nodes(), &hier(2, 0.0), &work)
         };
 
         let metrics = SimMetrics::new();
@@ -318,16 +307,11 @@ mod tests {
             if let Some(metrics) = metrics {
                 m.attach_metrics(metrics);
             }
-            let cores = topo.cpuset_of_mask(topo.all_nodes());
             let work = uniform_tasks(256, 8, 400_000.0);
-            let outcomes: Vec<String> = [
-                PlacementPlan::flat(),
-                hier_plan(256, 8, 0.5),
-                PlacementPlan::worksharing(),
-            ]
-            .iter()
-            .map(|plan| format!("{:?}", m.run_taskloop_traced(&cores, plan, &work)))
-            .collect();
+            let outcomes: Vec<String> = [ExecMode::Flat, hier(8, 0.5), ExecMode::WorkSharing]
+                .iter()
+                .map(|mode| format!("{:?}", m.run_taskloop_traced(topo.all_nodes(), mode, &work)))
+                .collect();
             (outcomes, m.event_counts())
         };
         let metrics = SimMetrics::new();
@@ -360,12 +344,15 @@ mod tests {
         assert_eq!(m.core_freqs().len(), 64);
     }
 
+    /// `n` chunks whose data lives where the blocked assignment over the
+    /// first `nodes` nodes places them.
     fn uniform_tasks(n: usize, nodes: usize, per_node_bytes: f64) -> Vec<TaskSpec> {
+        let blocked = ChunkAssignment::new(NodeMask::first_n(nodes), n);
         (0..n)
             .map(|i| TaskSpec {
                 compute_ns: 20_000.0,
                 mem_bytes: per_node_bytes,
-                home_node: NodeId::new(i * nodes / n),
+                home_node: blocked.node_of_chunk(i),
                 locality: Locality::Chunked,
                 data_mask: NodeMask::first_n(nodes),
                 cache_reuse: 0.0,
@@ -379,26 +366,12 @@ mod tests {
         SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 1)
     }
 
-    fn hier_plan(tasks: usize, nodes: usize, strict_frac: f64) -> PlacementPlan {
-        let mut assignments = Vec::new();
-        for node in 0..nodes {
-            let ts: Vec<usize> = (0..tasks).filter(|i| i * nodes / tasks == node).collect();
-            let strict_count = (ts.len() as f64 * strict_frac).round() as usize;
-            assignments.push(NodeAssignment {
-                node: NodeId::new(node),
-                tasks: ts,
-                strict_count,
-            });
-        }
-        PlacementPlan::Hierarchical { assignments }
-    }
-
     #[test]
     fn executes_every_task_exactly_once_flat() {
         let mut m = machine();
         let tasks = uniform_tasks(40, 2, 50_000.0);
-        let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-        let out = m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks);
+        let all = m.topology().all_nodes();
+        let out = m.run_taskloop(all, &ExecMode::Flat, &tasks);
         assert_eq!(out.tasks_executed(), 40);
         assert_eq!(out.threads, 8);
     }
@@ -407,9 +380,9 @@ mod tests {
     fn executes_every_task_hier_and_static() {
         let mut m = machine();
         let tasks = uniform_tasks(40, 2, 50_000.0);
-        let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-        for plan in [hier_plan(40, 2, 1.0), PlacementPlan::worksharing()] {
-            let out = m.run_taskloop(&cores, &plan, &tasks);
+        let all = m.topology().all_nodes();
+        for mode in [hier(2, 1.0), ExecMode::WorkSharing] {
+            let out = m.run_taskloop(all, &mode, &tasks);
             assert_eq!(out.tasks_executed(), 40);
         }
     }
@@ -418,9 +391,9 @@ mod tests {
     fn hierarchical_beats_flat_on_locality() {
         let mut m = machine();
         let tasks = uniform_tasks(64, 2, 200_000.0);
-        let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-        let flat = m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks);
-        let hier = m.run_taskloop(&cores, &hier_plan(64, 2, 1.0), &tasks);
+        let all = m.topology().all_nodes();
+        let flat = m.run_taskloop(all, &ExecMode::Flat, &tasks);
+        let hier = m.run_taskloop(all, &hier(2, 1.0), &tasks);
         assert!(
             hier.locality_fraction() > flat.locality_fraction(),
             "hier locality {} vs flat {}",
@@ -447,12 +420,12 @@ mod tests {
                 t.compute_ns *= 8.0;
             }
         }
-        let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-        let strict = m.run_taskloop(&cores, &hier_plan(32, 2, 1.0), &tasks);
+        let all = m.topology().all_nodes();
+        let strict = m.run_taskloop(all, &hier(2, 1.0), &tasks);
         assert_eq!(strict.migrations, 0);
         // Full policy may migrate and should not be slower by much — with this
         // much imbalance it should win.
-        let full = m.run_taskloop(&cores, &hier_plan(32, 2, 0.5), &tasks);
+        let full = m.run_taskloop(all, &hier(2, 0.5), &tasks);
         assert!(full.migrations > 0, "expected inter-node steals");
         assert!(full.makespan_ns < strict.makespan_ns);
     }
@@ -461,9 +434,9 @@ mod tests {
     fn static_has_lowest_overhead() {
         let mut m = machine();
         let tasks = uniform_tasks(64, 2, 50_000.0);
-        let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-        let ws = m.run_taskloop(&cores, &PlacementPlan::worksharing(), &tasks);
-        let flat = m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks);
+        let all = m.topology().all_nodes();
+        let ws = m.run_taskloop(all, &ExecMode::WorkSharing, &tasks);
+        let flat = m.run_taskloop(all, &ExecMode::Flat, &tasks);
         assert!(ws.sched_overhead_ns < flat.sched_overhead_ns);
         assert_eq!(ws.migrations, 0);
     }
@@ -471,8 +444,8 @@ mod tests {
     #[test]
     fn empty_taskloop_is_just_overheads() {
         let mut m = machine();
-        let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-        let out = m.run_taskloop(&cores, &PlacementPlan::flat(), &[]);
+        let all = m.topology().all_nodes();
+        let out = m.run_taskloop(all, &ExecMode::Flat, &[]);
         assert_eq!(out.tasks_executed(), 0);
         assert!(out.makespan_ns > 0.0); // barrier still costs
         assert_eq!(out.total_busy_ns(), 0.0);
@@ -484,9 +457,14 @@ mod tests {
     fn single_worker_runs_serially() {
         let mut m = machine();
         let tasks = uniform_tasks(10, 2, 22_000.0);
-        let mut cores = CpuSet::new();
-        cores.insert(CoreId::new(0));
-        let out = m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks);
+        let node0 = NodeMask::single(NodeId::new(0));
+        let one_core = ExecMode::Hierarchical {
+            mask: node0,
+            threads: 1,
+            strict_fraction: 1.0,
+            policy: StealPolicy::Strict,
+        };
+        let out = m.run_taskloop(node0, &one_core, &tasks);
         assert_eq!(out.tasks_executed(), 10);
         assert_eq!(out.threads, 1);
         // All work on node 0.
@@ -502,26 +480,24 @@ mod tests {
         let topo = presets::epyc_9354_2s();
         let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 3);
         let nodes = topo.num_nodes();
+        let blocked = ChunkAssignment::new(topo.all_nodes(), 512);
         let tasks: Vec<TaskSpec> = (0..512)
             .map(|i| TaskSpec {
                 compute_ns: 500.0,
                 mem_bytes: 2_000_000.0,
-                home_node: NodeId::new(i * nodes / 512),
+                home_node: blocked.node_of_chunk(i),
                 locality: Locality::Scattered { spread: 0.8 },
                 data_mask: NodeMask::first_n(nodes),
                 cache_reuse: 0.0,
                 fits_l3: false,
             })
             .collect();
-        let all = topo.cpuset_of_mask(topo.all_nodes());
         let t_full = m
-            .run_taskloop(&all, &PlacementPlan::flat(), &tasks)
+            .run_taskloop(topo.all_nodes(), &ExecMode::Flat, &tasks)
             .makespan_ns;
         // Half the machine: nodes 0..4 (one socket).
-        let half_mask = NodeMask::first_n(4);
-        let half = topo.cpuset_of_mask(half_mask);
         let t_half = m
-            .run_taskloop(&half, &PlacementPlan::flat(), &tasks)
+            .run_taskloop(NodeMask::first_n(4), &ExecMode::Flat, &tasks)
             .makespan_ns;
         assert!(
             t_half < t_full,
@@ -534,24 +510,23 @@ mod tests {
         let topo = presets::epyc_9354_2s();
         let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 3);
         let nodes = topo.num_nodes();
+        let blocked = ChunkAssignment::new(topo.all_nodes(), 512);
         let tasks: Vec<TaskSpec> = (0..512)
             .map(|i| TaskSpec {
                 compute_ns: 400_000.0,
                 mem_bytes: 10_000.0,
-                home_node: NodeId::new(i * nodes / 512),
+                home_node: blocked.node_of_chunk(i),
                 locality: Locality::Chunked,
                 data_mask: NodeMask::first_n(nodes),
                 cache_reuse: 0.0,
                 fits_l3: true,
             })
             .collect();
-        let all = topo.cpuset_of_mask(topo.all_nodes());
         let t_full = m
-            .run_taskloop(&all, &PlacementPlan::flat(), &tasks)
+            .run_taskloop(topo.all_nodes(), &ExecMode::Flat, &tasks)
             .makespan_ns;
-        let half = topo.cpuset_of_mask(NodeMask::first_n(4));
         let t_half = m
-            .run_taskloop(&half, &PlacementPlan::flat(), &tasks)
+            .run_taskloop(NodeMask::first_n(4), &ExecMode::Flat, &tasks)
             .makespan_ns;
         assert!(
             t_full < 0.6 * t_half,
@@ -563,24 +538,12 @@ mod tests {
     fn work_conservation_busy_time_bounded_by_makespan() {
         let mut m = machine();
         let tasks = uniform_tasks(48, 2, 80_000.0);
-        let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-        let out = m.run_taskloop(&cores, &hier_plan(48, 2, 0.75), &tasks);
+        let all = m.topology().all_nodes();
+        let out = m.run_taskloop(all, &hier(2, 0.75), &tasks);
         // 8 workers: total busy time can never exceed 8 × makespan.
         assert!(out.total_busy_ns() <= 8.0 * out.makespan_ns + 1e-6);
         // And busy time is at least the ideal aggregate (penalties ≥ 1).
         assert!(out.total_busy_ns() + 1e-6 >= out.total_ideal_ns());
-    }
-
-    #[test]
-    #[should_panic(expected = "no active core")]
-    fn plan_targeting_inactive_node_panics() {
-        let mut m = machine();
-        let tasks = uniform_tasks(8, 2, 10_000.0);
-        // Only node 0 cores active, but the plan targets both nodes.
-        let cores = m
-            .topology()
-            .cpuset_of_mask(NodeMask::single(NodeId::new(0)));
-        m.run_taskloop(&cores, &hier_plan(8, 2, 1.0), &tasks);
     }
 
     #[test]
@@ -592,8 +555,8 @@ mod tests {
             let mut params = MachineParams::for_topology(&topo).noiseless();
             zero(&mut params);
             let mut m = SimMachine::new(params, 1);
-            let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-            let out = m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks(32));
+            let all = m.topology().all_nodes();
+            let out = m.run_taskloop(all, &ExecMode::Flat, &tasks(32));
             assert_eq!(out.tasks_executed(), 32);
             assert!(out.makespan_ns > 0.0);
         }
@@ -606,13 +569,11 @@ mod tests {
         let topo = presets::tiny_2x4();
         let factor = 0.5;
         let work = uniform_tasks(32, 2, 1_000.0);
-        let plan = hier_plan(32, 2, 1.0);
         let durations = |noise: NoiseParams| {
             let mut params = MachineParams::for_topology(&topo);
             params.noise = noise;
             let mut m = SimMachine::new(params, 9);
-            let cores = topo.cpuset_of_mask(topo.all_nodes());
-            let out = m.run_taskloop_traced(&cores, &plan, &work);
+            let out = m.run_taskloop_traced(topo.all_nodes(), &hier(2, 1.0), &work);
             let mut by_task = vec![(0, 0.0); work.len()];
             for r in &out.trace {
                 by_task[r.task] = (topo.node_of_core(r.core).index(), r.end_ns - r.start_ns);
@@ -647,8 +608,9 @@ mod tests {
         use ilan_trace::EventKind;
         let mut m = machine();
         let tasks = uniform_tasks(40, 2, 50_000.0);
-        let cores = m.topology().cpuset_of_mask(m.topology().all_nodes());
-        let out = m.run_taskloop_traced(&cores, &hier_plan(40, 2, 0.5), &tasks);
+        let all = m.topology().all_nodes();
+        let cores = m.topology().cpuset_of_mask(all);
+        let out = m.run_taskloop_traced(all, &hier(2, 0.5), &tasks);
         assert_eq!(out.trace.len(), 40, "one record per chunk");
         let mut record = vec![None; tasks.len()];
         for r in &out.trace {

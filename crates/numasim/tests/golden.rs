@@ -10,11 +10,8 @@
 
 use ilan::{BaselinePolicy, IlanParams, IlanScheduler, Policy, RunStats};
 use ilan_faults::{FaultConfig, FaultPlan};
-use ilan_numasim::{
-    ColoMachine, Locality, LoopOutcome, MachineParams, NodeAssignment, PlacementPlan, SimMachine,
-    TaskSpec,
-};
-use ilan_topology::{presets, NodeId, NodeMask};
+use ilan_numasim::{ColoMachine, Locality, LoopOutcome, MachineParams, SimMachine, TaskSpec};
+use ilan_topology::{presets, ChunkAssignment, ExecMode, NodeMask, StealPolicy};
 use ilan_workloads::{Scale, Workload};
 
 /// FNV-1a over the bytes of `text`.
@@ -59,14 +56,16 @@ fn ilan_run_stats_are_bitwise_pinned() {
     );
 }
 
-/// Chunks homed round-robin over `nodes` blocks, every `scatter_every`-th
-/// one scattered so both traffic shapes meet in the field.
+/// Chunks homed in blocks over the first `nodes` nodes, every
+/// `scatter_every`-th one scattered so both traffic shapes meet in the
+/// field.
 fn colo_tasks(n: usize, nodes: usize, scatter_every: usize) -> Vec<TaskSpec> {
+    let blocked = ChunkAssignment::new(NodeMask::first_n(nodes), n);
     (0..n)
         .map(|i| TaskSpec {
             compute_ns: 8_000.0 + 1_000.0 * (i % 7) as f64,
             mem_bytes: 300_000.0 + 50_000.0 * (i % 5) as f64,
-            home_node: NodeId::new(i * nodes / n),
+            home_node: blocked.node_of_chunk(i),
             locality: if i % scatter_every == 0 {
                 Locality::Scattered { spread: 0.6 }
             } else {
@@ -77,23 +76,6 @@ fn colo_tasks(n: usize, nodes: usize, scatter_every: usize) -> Vec<TaskSpec> {
             fits_l3: i % 3 == 0,
         })
         .collect()
-}
-
-/// A hierarchical plan over `nodes`: contiguous blocks, the first
-/// `strict_frac` of each block NUMA-strict, the rest stealable.
-fn hier_plan(tasks: usize, nodes: usize, strict_frac: f64) -> PlacementPlan {
-    let assignments = (0..nodes)
-        .map(|node| {
-            let ts: Vec<usize> = (0..tasks).filter(|i| i * nodes / tasks == node).collect();
-            let strict_count = (ts.len() as f64 * strict_frac) as usize;
-            NodeAssignment {
-                node: NodeId::new(node),
-                tasks: ts,
-                strict_count,
-            }
-        })
-        .collect();
-    PlacementPlan::Hierarchical { assignments }
 }
 
 /// Every outcome of a traced three-lane run on the paper's machine under a
@@ -112,22 +94,19 @@ fn colo_faulty_traced_outcomes() -> String {
     colo.set_fault_plan(plan);
     colo.set_tracing(true);
     let (a, b, c) = (colo.add_lane(), colo.add_lane(), colo.add_lane());
-    // A: the whole machine, strict prefixes with stealable tails.
-    colo.start_loop(
-        a,
-        &topo.cpuset_of_mask(topo.all_nodes()),
-        &hier_plan(384, 8, 0.6),
-        colo_tasks(384, 8, 4),
-        2_000.0,
-    );
+    // A: the whole machine, strict prefixes with stealable tails: 28 of
+    // each node's 48 chunks.
+    let all = topo.all_nodes();
+    let strict_prefixes = ExecMode::Hierarchical {
+        mask: all,
+        threads: 0,
+        strict_fraction: 28.0 / 48.0,
+        policy: StealPolicy::Full,
+    };
+    colo.start_loop(a, all, &strict_prefixes, colo_tasks(384, 8, 4), 2_000.0);
     // B: socket 0 under the flat baseline, sharing A's cores.
-    colo.start_loop(
-        b,
-        &topo.cpuset_of_mask(NodeMask::first_n(4)),
-        &PlacementPlan::flat(),
-        colo_tasks(256, 4, 3),
-        15_000.0,
-    );
+    let socket0 = NodeMask::first_n(4);
+    colo.start_loop(b, socket0, &ExecMode::Flat, colo_tasks(256, 4, 3), 15_000.0);
     let mut lines = Vec::new();
     let mut record = |lane: usize, out: LoopOutcome| {
         lines.push(format!(
@@ -142,8 +121,8 @@ fn colo_faulty_traced_outcomes() -> String {
     let mid = NodeMask::from_bits(0b0011_1100);
     colo.start_loop(
         c,
-        &topo.cpuset_of_mask(mid),
-        &PlacementPlan::worksharing(),
+        mid,
+        &ExecMode::WorkSharing,
         colo_tasks(128, 8, 2),
         5_000.0,
     );

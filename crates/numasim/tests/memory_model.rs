@@ -4,13 +4,22 @@
 //! where only that term differs, so a regression in one mechanism cannot
 //! hide behind another.
 
-use ilan_numasim::{
-    Locality, MachineParams, NodeAssignment, NoiseParams, PlacementPlan, SimMachine, TaskSpec,
-};
-use ilan_topology::{presets, CpuSet, NodeId, NodeMask};
+use ilan_numasim::{Locality, MachineParams, NoiseParams, SimMachine, TaskSpec};
+use ilan_topology::{presets, ExecMode, NodeId, NodeMask, StealPolicy};
 
 fn machine(params: MachineParams, seed: u64) -> SimMachine {
     SimMachine::new(params, seed)
+}
+
+/// Every chunk NUMA-strict on node 0, `threads` of its cores active (0 for
+/// all of them).
+fn on_node0(threads: usize) -> ExecMode {
+    ExecMode::Hierarchical {
+        mask: NodeMask::single(NodeId::new(0)),
+        threads,
+        strict_fraction: 1.0,
+        policy: StealPolicy::Strict,
+    }
 }
 
 fn chunked_task(home: usize, compute: f64, bytes: f64) -> TaskSpec {
@@ -32,14 +41,7 @@ fn chunked_task(home: usize, compute: f64, bytes: f64) -> TaskSpec {
 fn distance_latency_penalty() {
     let topo = presets::epyc_9354_2s();
     let params = MachineParams::for_topology(&topo).noiseless();
-    let cores = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
-    let plan = PlacementPlan::Hierarchical {
-        assignments: vec![NodeAssignment {
-            node: NodeId::new(0),
-            tasks: (0..32).collect(),
-            strict_count: 32,
-        }],
-    };
+    let node0 = on_node0(0);
     // Local: homes on node 0. Remote: homes on node 7 (other socket).
     let local: Vec<TaskSpec> = (0..32)
         .map(|_| chunked_task(0, 10_000.0, 400_000.0))
@@ -48,10 +50,10 @@ fn distance_latency_penalty() {
         .map(|_| chunked_task(7, 10_000.0, 400_000.0))
         .collect();
     let t_local = machine(params.clone(), 1)
-        .run_taskloop(&cores, &plan, &local)
+        .run_taskloop(topo.all_nodes(), &node0, &local)
         .makespan_ns;
     let t_remote = machine(params, 1)
-        .run_taskloop(&cores, &plan, &remote)
+        .run_taskloop(topo.all_nodes(), &node0, &remote)
         .makespan_ns;
     assert!(
         t_remote > 1.1 * t_local,
@@ -68,14 +70,7 @@ fn distance_latency_penalty() {
 fn cache_reuse_discount() {
     let topo = presets::epyc_9354_2s();
     let params = MachineParams::for_topology(&topo).noiseless();
-    let cores = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
-    let plan = PlacementPlan::Hierarchical {
-        assignments: vec![NodeAssignment {
-            node: NodeId::new(0),
-            tasks: (0..16).collect(),
-            strict_count: 16,
-        }],
-    };
+    let node0 = on_node0(0);
     let make = |reuse: f64, fits: bool| -> Vec<TaskSpec> {
         (0..16)
             .map(|_| TaskSpec {
@@ -86,13 +81,13 @@ fn cache_reuse_discount() {
             .collect()
     };
     let cold = machine(params.clone(), 1)
-        .run_taskloop(&cores, &plan, &make(0.0, true))
+        .run_taskloop(topo.all_nodes(), &node0, &make(0.0, true))
         .makespan_ns;
     let warm = machine(params.clone(), 1)
-        .run_taskloop(&cores, &plan, &make(0.5, true))
+        .run_taskloop(topo.all_nodes(), &node0, &make(0.5, true))
         .makespan_ns;
     let no_fit = machine(params, 1)
-        .run_taskloop(&cores, &plan, &make(0.5, false))
+        .run_taskloop(topo.all_nodes(), &node0, &make(0.5, false))
         .makespan_ns;
     assert!(warm < cold, "reuse must speed up: {warm} vs {cold}");
     assert!(
@@ -111,23 +106,13 @@ fn stream_concurrency_penalty() {
     let tasks: Vec<TaskSpec> = (0..8)
         .map(|_| chunked_task(0, 1_000.0, 500_000.0))
         .collect();
-    let plan = PlacementPlan::Hierarchical {
-        assignments: vec![NodeAssignment {
-            node: NodeId::new(0),
-            tasks: (0..8).collect(),
-            strict_count: 8,
-        }],
-    };
     // 8 concurrent streams (all node-0 cores) vs 2 at a time (2 cores).
-    let all = topo.cpuset_of_mask(NodeMask::single(NodeId::new(0)));
-    let mut two = CpuSet::new();
-    two.insert(ilan_topology::CoreId::new(0));
-    two.insert(ilan_topology::CoreId::new(1));
+    let node0 = NodeMask::single(NodeId::new(0));
     let busy8 = machine(params.clone(), 1)
-        .run_taskloop(&all, &plan, &tasks)
+        .run_taskloop(node0, &on_node0(0), &tasks)
         .total_busy_ns();
     let busy2 = machine(params, 1)
-        .run_taskloop(&two, &plan, &tasks)
+        .run_taskloop(node0, &on_node0(2), &tasks)
         .total_busy_ns();
     // Same total bytes; with 8 concurrent flows each chunk runs slower, so
     // aggregate busy time is strictly larger.
@@ -146,7 +131,7 @@ fn scattered_traffic_is_stream_exempt() {
     let mut punishing = base.clone();
     punishing.stream_kappa = 0.25;
 
-    let cores = topo.cpuset_of_mask(topo.all_nodes());
+    let all = topo.all_nodes();
     let chunked: Vec<TaskSpec> = (0..64)
         .map(|i| chunked_task(i / 8, 1_000.0, 400_000.0))
         .collect();
@@ -156,14 +141,14 @@ fn scattered_traffic_is_stream_exempt() {
             ..chunked_task(i / 8, 1_000.0, 400_000.0)
         })
         .collect();
-    let ws = PlacementPlan::Static;
+    let ws = ExecMode::WorkSharing;
 
     let slowdown = |tasks: &[TaskSpec]| {
         let t0 = machine(base.clone(), 1)
-            .run_taskloop(&cores, &ws, tasks)
+            .run_taskloop(all, &ws, tasks)
             .makespan_ns;
         let t1 = machine(punishing.clone(), 1)
-            .run_taskloop(&cores, &ws, tasks)
+            .run_taskloop(all, &ws, tasks)
             .makespan_ns;
         t1 / t0
     };
@@ -203,12 +188,12 @@ fn outlier_window_slows_a_node() {
             fits_l3: false,
         })
         .collect();
-    let cores = topo.cpuset_of_mask(topo.all_nodes());
+    let all = topo.all_nodes();
     let t_clean = machine(clean, 3)
-        .run_taskloop(&cores, &PlacementPlan::worksharing(), &tasks)
+        .run_taskloop(all, &ExecMode::WorkSharing, &tasks)
         .makespan_ns;
     let t_outlier = machine(params, 3)
-        .run_taskloop(&cores, &PlacementPlan::worksharing(), &tasks)
+        .run_taskloop(all, &ExecMode::WorkSharing, &tasks)
         .makespan_ns;
     // Half-speed node with static slices ⇒ makespan roughly doubles.
     assert!(
@@ -224,17 +209,17 @@ fn outlier_window_slows_a_node() {
 fn idle_tails_are_charged_as_overhead() {
     let topo = presets::tiny_2x4();
     let params = MachineParams::for_topology(&topo).noiseless();
-    let cores = topo.cpuset_of_mask(topo.all_nodes());
+    let all = topo.all_nodes();
     let balanced: Vec<TaskSpec> = (0..8)
         .map(|i| chunked_task(i / 4, 500_000.0, 0.1))
         .collect();
     let mut imbalanced = balanced.clone();
     imbalanced[0].compute_ns = 5_000_000.0; // one 10× chunk
     let ovh_bal = machine(params.clone(), 1)
-        .run_taskloop(&cores, &PlacementPlan::worksharing(), &balanced)
+        .run_taskloop(all, &ExecMode::WorkSharing, &balanced)
         .sched_overhead_ns;
     let ovh_imb = machine(params, 1)
-        .run_taskloop(&cores, &PlacementPlan::worksharing(), &imbalanced)
+        .run_taskloop(all, &ExecMode::WorkSharing, &imbalanced)
         .sched_overhead_ns;
     assert!(
         ovh_imb > 5.0 * ovh_bal.max(1.0),
@@ -252,19 +237,19 @@ fn link_congestion_costs() {
     // All 64 cores; data homed so that execution is either aligned (local)
     // or fully cross-socket (socket 0 cores read socket 1 homes and vice
     // versa — maximal link pressure).
-    let cores = topo.cpuset_of_mask(topo.all_nodes());
+    let all = topo.all_nodes();
     let aligned: Vec<TaskSpec> = (0..64)
         .map(|i| chunked_task(i / 8, 2_000.0, 1_500_000.0))
         .collect();
     let crossed: Vec<TaskSpec> = (0..64)
         .map(|i| chunked_task((i / 8 + 4) % 8, 2_000.0, 1_500_000.0))
         .collect();
-    let ws = PlacementPlan::Static;
+    let ws = ExecMode::WorkSharing;
     let t_aligned = machine(params.clone(), 1)
-        .run_taskloop(&cores, &ws, &aligned)
+        .run_taskloop(all, &ws, &aligned)
         .makespan_ns;
     let t_crossed = machine(params, 1)
-        .run_taskloop(&cores, &ws, &crossed)
+        .run_taskloop(all, &ws, &crossed)
         .makespan_ns;
     assert!(
         t_crossed > 1.2 * t_aligned,

@@ -1,7 +1,7 @@
 //! Property-based tests of the simulator's physical invariants.
 
-use ilan_numasim::{Locality, MachineParams, NodeAssignment, PlacementPlan, SimMachine, TaskSpec};
-use ilan_topology::{presets, NodeId, NodeMask};
+use ilan_numasim::{Locality, MachineParams, SimMachine, TaskSpec};
+use ilan_topology::{presets, ChunkAssignment, ExecMode, NodeId, NodeMask, StealPolicy};
 use proptest::prelude::*;
 
 fn arb_tasks(max: usize) -> impl Strategy<Value = Vec<TaskSpec>> {
@@ -42,8 +42,7 @@ proptest! {
     fn conservation_flat(tasks in arb_tasks(80), seed in 0u64..1000) {
         let topo = presets::tiny_2x4();
         let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), seed);
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
-        let out = m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks);
+        let out = m.run_taskloop(topo.all_nodes(), &ExecMode::Flat, &tasks);
         prop_assert_eq!(out.tasks_executed(), tasks.len());
         prop_assert!(out.makespan_ns.is_finite());
         prop_assert!(out.total_busy_ns() <= 8.0 * out.makespan_ns + 1e-3);
@@ -83,33 +82,32 @@ proptest! {
         prop_assert!(out.makespan_ns + 1e-6 >= longest * 0.999);
     }
 
-    /// Under a strict hierarchical plan, chunks never leave their node: the
-    /// per-node task counts equal the plan exactly and migrations are zero.
+    /// A strict hierarchical loop runs each node's `chunks_of_rank` share
+    /// there and nowhere else, whatever the mask, thread count and task
+    /// count.
     #[test]
-    fn strict_plan_is_respected(tasks in arb_tasks(60), split in 0usize..=100) {
-        let topo = presets::tiny_2x4();
-        let n = tasks.len();
-        let cut = n * split / 100;
-        let plan = PlacementPlan::Hierarchical {
-            assignments: vec![
-                NodeAssignment {
-                    node: NodeId::new(0),
-                    tasks: (0..cut).collect(),
-                    strict_count: cut,
-                },
-                NodeAssignment {
-                    node: NodeId::new(1),
-                    tasks: (cut..n).collect(),
-                    strict_count: n - cut,
-                },
-            ],
+    fn strict_plan_is_respected(tasks in arb_tasks(60), bits in 1u64..256, extra in 0usize..64) {
+        let topo = presets::epyc_9354_2s();
+        let mask = NodeMask::from_bits(bits);
+        // 0 means every core of the mask; otherwise one core per node at
+        // least, clamped to the mask's cores.
+        let threads = if extra == 0 { 0 } else { mask.count() + extra - 1 };
+        let mode = ExecMode::Hierarchical {
+            mask,
+            threads,
+            strict_fraction: 0.0, // ignored under Strict
+            policy: StealPolicy::Strict,
         };
         let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 1);
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
-        let out = m.run_taskloop(&cores, &plan, &tasks);
+        let out = m.run_taskloop(topo.all_nodes(), &mode, &tasks);
         prop_assert_eq!(out.migrations, 0);
-        prop_assert_eq!(out.nodes[0].tasks, cut);
-        prop_assert_eq!(out.nodes[1].tasks, n - cut);
+        let blocked = ChunkAssignment::new(mask, tasks.len());
+        let mut expected = vec![0; topo.num_nodes()];
+        for (rank, node) in mask.iter().enumerate() {
+            expected[node.index()] = blocked.chunks_of_rank(rank).len();
+        }
+        let ran: Vec<usize> = out.nodes.iter().map(|n| n.tasks).collect();
+        prop_assert_eq!(ran, expected);
     }
 
     /// Determinism: the same seed replays the exact makespan; noiseless
@@ -117,10 +115,9 @@ proptest! {
     #[test]
     fn determinism(tasks in arb_tasks(40), seed in 0u64..100) {
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
         let run = |s: u64| {
             let mut m = SimMachine::new(MachineParams::for_topology(&topo), s);
-            m.run_taskloop(&cores, &PlacementPlan::flat(), &tasks).makespan_ns
+            m.run_taskloop(topo.all_nodes(), &ExecMode::Flat, &tasks).makespan_ns
         };
         prop_assert_eq!(run(seed), run(seed));
     }
@@ -129,7 +126,7 @@ proptest! {
     #[test]
     fn monotone_in_work(tasks in arb_tasks(30), factor in 1.1f64..3.0) {
         let topo = presets::tiny_2x4();
-        let cores = topo.cpuset_of_mask(topo.all_nodes());
+        let all = topo.all_nodes();
         let heavier: Vec<TaskSpec> = tasks
             .iter()
             .map(|t| TaskSpec {
@@ -138,21 +135,26 @@ proptest! {
             })
             .collect();
         let mut m1 = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 0);
-        let t1 = m1.run_taskloop(&cores, &PlacementPlan::worksharing(), &tasks).makespan_ns;
+        let t1 = m1.run_taskloop(all, &ExecMode::WorkSharing, &tasks).makespan_ns;
         let mut m2 = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 0);
-        let t2 = m2.run_taskloop(&cores, &PlacementPlan::worksharing(), &heavier).makespan_ns;
+        let t2 = m2.run_taskloop(all, &ExecMode::WorkSharing, &heavier).makespan_ns;
         prop_assert!(t2 >= t1 - 1e-6, "heavier work finished earlier: {t1} vs {t2}");
     }
 
-    /// The static plan always splits into contiguous per-worker slices whose
-    /// makespan at 1 worker equals the serial sum (plus fixed overheads).
+    /// One worker executes every chunk serially: its makespan is its busy
+    /// time plus the fixed overheads.
     #[test]
     fn single_worker_is_serial(tasks in arb_tasks(25)) {
         let topo = presets::tiny_2x4();
-        let mut cores = ilan_topology::CpuSet::new();
-        cores.insert(ilan_topology::CoreId::new(0));
+        let node0 = NodeMask::single(NodeId::new(0));
+        let one_core = ExecMode::Hierarchical {
+            mask: node0,
+            threads: 1,
+            strict_fraction: 1.0,
+            policy: StealPolicy::Strict,
+        };
         let mut m = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 0);
-        let out = m.run_taskloop(&cores, &PlacementPlan::worksharing(), &tasks);
+        let out = m.run_taskloop(node0, &one_core, &tasks);
         // One worker executes everything; busy time ≈ makespan − overheads.
         prop_assert_eq!(out.tasks_executed(), tasks.len());
         prop_assert!(out.nodes[0].busy_ns <= out.makespan_ns);

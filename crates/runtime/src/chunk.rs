@@ -2,12 +2,9 @@
 //!
 //! An OpenMP `taskloop` partitions `0..n` iterations into chunks of at most
 //! `grainsize` iterations; each chunk becomes one task. [`chunk_ranges`]
-//! performs that partition, and [`ChunkAssignment`] implements ILAN's
-//! deterministic chunk→node mapping (§3.3 of the paper): chunk *i* of *N*
-//! goes to the node with rank `⌊i · nodes / N⌋` within the node mask, so
-//! adjacent iterations — which tend to share data — stay collocated.
+//! performs that partition, and [`ilan_topology::ChunkAssignment`] maps each
+//! chunk to its node; the tests below pin both halves as the pool uses them.
 
-use ilan_topology::{NodeId, NodeMask};
 use std::ops::Range;
 
 /// Splits `range` into chunks of at most `grainsize` iterations.
@@ -30,79 +27,23 @@ pub fn chunk_ranges(range: Range<usize>, grainsize: usize) -> Vec<Range<usize>> 
     out
 }
 
-/// Deterministic blocked assignment of chunks to the nodes of a mask.
-#[derive(Clone, Debug)]
-pub struct ChunkAssignment {
-    mask: NodeMask,
-    num_chunks: usize,
-}
-
-impl ChunkAssignment {
-    /// Creates the assignment of `num_chunks` chunks over the nodes in
-    /// `mask`.
-    ///
-    /// # Panics
-    /// Panics if `mask` is empty.
-    pub fn new(mask: NodeMask, num_chunks: usize) -> Self {
-        assert!(
-            !mask.is_empty(),
-            "cannot assign chunks to an empty node mask"
-        );
-        ChunkAssignment { mask, num_chunks }
-    }
-
-    /// The node executing chunk `i`.
-    ///
-    /// # Panics
-    /// Panics (in debug) if `i >= num_chunks`.
-    pub fn node_of_chunk(&self, i: usize) -> NodeId {
-        debug_assert!(i < self.num_chunks, "chunk index out of range");
-        let k = self.mask.count();
-        let rank = i * k / self.num_chunks.max(1);
-        self.mask.nth(rank).expect("rank < mask count")
-    }
-
-    /// The chunk indices assigned to each node of the mask, in mask order.
-    /// Chunks within a node are in ascending (adjacent-iteration) order.
-    pub fn per_node(&self) -> Vec<(NodeId, Vec<usize>)> {
-        let mut out: Vec<(NodeId, Vec<usize>)> =
-            self.mask.iter().map(|n| (n, Vec::new())).collect();
-        for i in 0..self.num_chunks {
-            let node = self.node_of_chunk(i);
-            let rank = self.mask.rank_of(node).expect("node in mask");
-            out[rank].1.push(i);
-        }
-        out
-    }
-
-    /// The contiguous range of chunk indices assigned to the node of mask
-    /// rank `rank` — the allocation-free inverse of
-    /// [`node_of_chunk`](Self::node_of_chunk) the dispatch hot path uses
-    /// instead of materialising [`per_node`](Self::per_node).
-    ///
-    /// # Panics
-    /// Panics (in debug) if `rank >= mask.count()`.
-    pub fn chunks_of_rank(&self, rank: usize) -> Range<usize> {
-        let k = self.mask.count();
-        debug_assert!(rank < k, "rank out of mask");
-        let n = self.num_chunks;
-        (rank * n).div_ceil(k)..((rank + 1) * n).div_ceil(k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ilan_topology::{ChunkAssignment, NodeMask};
 
     #[test]
-    fn chunks_of_rank_matches_per_node() {
+    fn chunks_of_rank_matches_node_of_chunk() {
         for (nodes, chunks) in [(1, 1), (2, 7), (3, 10), (4, 16), (8, 3), (5, 64)] {
-            let a = ChunkAssignment::new(NodeMask::first_n(nodes), chunks);
-            for (rank, (_, idxs)) in a.per_node().into_iter().enumerate() {
-                let range = a.chunks_of_rank(rank);
+            let mask = NodeMask::first_n(nodes);
+            let a = ChunkAssignment::new(mask, chunks);
+            for (rank, node) in mask.iter().enumerate() {
+                let scanned: Vec<usize> = (0..chunks)
+                    .filter(|&i| a.node_of_chunk(i) == node)
+                    .collect();
                 assert_eq!(
-                    range.clone().collect::<Vec<_>>(),
-                    idxs,
+                    a.chunks_of_rank(rank).collect::<Vec<_>>(),
+                    scanned,
                     "nodes={nodes} chunks={chunks} rank={rank}"
                 );
             }
@@ -160,8 +101,7 @@ mod tests {
     #[test]
     fn uneven_division_balanced_within_one() {
         let a = ChunkAssignment::new(NodeMask::first_n(3), 10);
-        let per = a.per_node();
-        let counts: Vec<usize> = per.iter().map(|(_, c)| c.len()).collect();
+        let counts: Vec<usize> = (0..3).map(|r| a.chunks_of_rank(r).len()).collect();
         assert_eq!(counts.iter().sum::<usize>(), 10);
         let max = counts.iter().max().unwrap();
         let min = counts.iter().min().unwrap();
@@ -171,10 +111,9 @@ mod tests {
     #[test]
     fn fewer_chunks_than_nodes() {
         let a = ChunkAssignment::new(NodeMask::first_n(8), 3);
-        let per = a.per_node();
-        let nonempty = per.iter().filter(|(_, c)| !c.is_empty()).count();
-        assert_eq!(nonempty, 3);
-        assert_eq!(per.iter().map(|(_, c)| c.len()).sum::<usize>(), 3);
+        let counts: Vec<usize> = (0..8).map(|r| a.chunks_of_rank(r).len()).collect();
+        assert_eq!(counts.iter().filter(|&&c| c > 0).count(), 3);
+        assert_eq!(counts.iter().sum::<usize>(), 3);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! feedback ILAN's Performance Trace Table consumes. Each chunk is counted
 //! once, when it is acquired: a local pop on its home node or an
 //! inter-node steal. The report and the acquisition counters of
-//! [`PoolMetrics`] both derive from that one tally. The placement rules
-//! the scheduler's simulator driver shares with the pool are
-//! [`active_cores`], [`ChunkAssignment`] and [`strict_count`]. The policy
+//! [`PoolMetrics`] both derive from that one tally. The placement itself —
+//! [`ExecMode`] and the rules that resolve it into active cores, per-node
+//! chunk ranges and strict prefixes — is defined in
+//! [`ilan_topology::placement`], which the simulator executes from too. The policy
 //! side (choosing thread counts, node masks and steal policies) lives in
 //! the `ilan` crate; this crate only executes.
 //!
@@ -62,13 +63,13 @@ mod pool;
 mod report;
 mod sleep;
 
-pub use chunk::{chunk_ranges, ChunkAssignment};
+pub use chunk::chunk_ranges;
+/// The placement description a taskloop takes, defined with its rules in
+/// [`ilan_topology::placement`].
+pub use ilan_topology::{ExecMode, StealPolicy};
 pub use metrics::{PoolMetrics, TAIL_FACTOR, TAIL_MIN_SAMPLES};
 pub use pin::{pin_current_thread, PinMode};
-pub use pool::{
-    active_cores, strict_count, ExecMode, PoolConfig, PoolError, StealPolicy, ThreadPool,
-    DEFAULT_INLINE_THRESHOLD, DEFAULT_WATCHDOG,
-};
+pub use pool::{PoolConfig, PoolError, ThreadPool, DEFAULT_INLINE_THRESHOLD, DEFAULT_WATCHDOG};
 pub use report::{LoopReport, NodeReport};
 
 /// Event-tracing layer (re-exported): [`trace::EventLog`] is what the traced

@@ -36,7 +36,7 @@ pub const TAIL_MIN_SAMPLES: u64 = 32;
 /// | `wakeups` | counter | sleep-slot posts that start a team member |
 /// | `park_ns` | histogram | worker sleep duration per invocation (none for the dispatcher, which never parks) |
 /// | `acquisitions` | counter (`kind`) | chunk acquisitions: `local_pop` / `inter_steal` |
-/// | `steal_attempts`, `steal_hits` | counter (`scope`=`local`/`remote`) | cursor claims: own cursor's head (`local`), remote tails (`remote`) |
+/// | `steal_attempts`, `steal_hits` | counter (`scope`=`remote`) | claims off remote nodes' tails; own-cursor claims are the `local_pop` acquisitions |
 /// | `degraded` | counter (`stage`) | watchdog escalations |
 /// | `faults_injected` | counter | chaos-layer injections seen by the dispatcher |
 /// | `flight_triggers` | counter | anomalies seen by the flight recorder |
@@ -50,9 +50,7 @@ pub struct PoolMetrics {
     pub(crate) park_ns: Histogram,
     pub(crate) acq_local_pop: Counter,
     pub(crate) acq_inter_steal: Counter,
-    pub(crate) steal_attempts_local: ShardedCounter,
     pub(crate) steal_attempts_remote: ShardedCounter,
-    pub(crate) steal_hits_local: ShardedCounter,
     pub(crate) steal_hits_remote: ShardedCounter,
     pub(crate) degraded_stage1: Counter,
     pub(crate) degraded_stage2: Counter,
@@ -108,20 +106,10 @@ impl PoolMetrics {
             park_ns: r.histogram("ilan_pool_park_ns", "Worker sleep duration per wakeup, ns"),
             acq_local_pop: acq("local_pop"),
             acq_inter_steal: acq("inter_steal"),
-            steal_attempts_local: steal(
-                "ilan_pool_steal_attempts",
-                "Steal probes by NUMA scope",
-                "local",
-            ),
             steal_attempts_remote: steal(
                 "ilan_pool_steal_attempts",
                 "Steal probes by NUMA scope",
                 "remote",
-            ),
-            steal_hits_local: steal(
-                "ilan_pool_steal_hits",
-                "Successful steal probes by NUMA scope",
-                "local",
             ),
             steal_hits_remote: steal(
                 "ilan_pool_steal_hits",

@@ -85,7 +85,6 @@
 //! same executor on the dispatcher ring, attributing each chunk to its
 //! home node. The trace, when recorded, stays the independent check.
 
-use crate::chunk::ChunkAssignment;
 use crate::latch::CountLatch;
 use crate::metrics::PoolMetrics;
 use crate::pin::{bind_caller, pin_current_thread, PinMode};
@@ -95,7 +94,10 @@ use crate::sleep::SleepSlot;
 use crossbeam_utils::CachePadded;
 use ilan_faults::FaultPlan;
 use ilan_metrics::{FlightDump, FlightReason, ShardedCounter};
-use ilan_topology::{CoreId, NodeId, NodeMask, Topology};
+use ilan_topology::{
+    active_cores, strict_count, ChunkAssignment, CoreId, ExecMode, NodeId, NodeMask, StealPolicy,
+    Topology,
+};
 use ilan_trace::{EventKind, EventLog, FaultTag, TraceSet, DISPATCHER};
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
@@ -104,47 +106,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Inter-node steal policy of a hierarchical taskloop (paper §3.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StealPolicy {
-    /// Work-stealing confined to the chunk's assigned NUMA node.
-    Strict,
-    /// The stealable tail of each node's chunks may migrate to another node
-    /// once that node has exhausted its own cursor.
-    Full,
-}
-
-/// How one taskloop invocation is executed.
-#[derive(Clone, Debug)]
-pub enum ExecMode {
-    /// LLVM-default tasking baseline: one shared cursor, every worker takes
-    /// any chunk. Uses all workers.
-    Flat,
-    /// OpenMP `for schedule(static)` work-sharing: fixed contiguous slices,
-    /// no queues, no stealing. Uses all workers.
-    WorkSharing,
-    /// ILAN hierarchical distribution: chunks pre-assigned to the nodes of
-    /// `mask`, an initial fraction NUMA-strict, optional inter-node stealing
-    /// of the tail.
-    Hierarchical {
-        /// Nodes eligible to execute the loop.
-        mask: NodeMask,
-        /// Total active threads, distributed evenly over the mask's nodes
-        /// (each node activates its lowest cores first; see
-        /// [`active_cores`]). Clamped to the cores available in the mask;
-        /// 0 means "all cores of the mask". Otherwise it must be at least
-        /// the mask's node count, so every node that holds chunks has a
-        /// worker to run them.
-        threads: usize,
-        /// Fraction of each node's chunks that are NUMA-strict under
-        /// [`StealPolicy::Full`]; ignored under `Strict` (everything is
-        /// strict then).
-        strict_fraction: f64,
-        /// Whether the stealable tail may migrate across nodes.
-        policy: StealPolicy,
-    },
-}
 
 /// Loops of at most this many iterations (or resolving to a single chunk,
 /// or to a team of one worker on one node) run inline on the calling thread
@@ -1294,55 +1255,6 @@ fn placement_mask(topo: &Topology, mode: &ExecMode) -> NodeMask {
     }
 }
 
-/// The cores a hierarchical decision on `mask` with `threads` threads
-/// activates, in mask order: `threads` (0 meaning every core of the mask,
-/// and clamped to the mask's cores) spread evenly over the mask's nodes,
-/// the first `threads % k` of its `k` nodes taking one core more, each node
-/// its lowest cores first. Every node of the mask gets at least one core,
-/// so the first core is the primary core of the mask's first node.
-///
-/// This is the one active-core rule: the pool's dispatcher and the
-/// scheduler's simulator driver both call it. It allocates nothing.
-///
-/// # Panics
-/// Panics if `mask` is empty, or if `threads` is neither 0 nor at least
-/// the mask's node count: a node without an active core could not run the
-/// chunks placed on it.
-pub fn active_cores(
-    topology: &Topology,
-    mask: NodeMask,
-    threads: usize,
-) -> impl Iterator<Item = CoreId> + '_ {
-    let k = mask.count();
-    assert!(k > 0, "hierarchical mode needs a non-empty mask");
-    assert!(
-        threads == 0 || threads >= k,
-        "{threads} threads cannot cover the {k} nodes of {mask:?}: \
-         every node that holds chunks needs an active core"
-    );
-    let max = k * topology.cores_per_node();
-    let want = if threads == 0 { max } else { threads.min(max) };
-    mask.iter().enumerate().flat_map(move |(rank, node)| {
-        topology
-            .cores_of_node(node)
-            .take(want / k + usize::from(rank < want % k))
-    })
-}
-
-/// How many of a node's `len` chunks are NUMA-strict: all of them under
-/// [`StealPolicy::Strict`], `len × strict_fraction` rounded to the nearest
-/// under [`StealPolicy::Full`]. The node keeps these first chunks; only the
-/// rest may be stolen.
-///
-/// This is the one strict-count rule: the pool's dispatcher and the
-/// scheduler's simulator driver both call it.
-pub fn strict_count(len: usize, policy: StealPolicy, strict_fraction: f64) -> usize {
-    match policy {
-        StealPolicy::Strict => len,
-        StealPolicy::Full => ((len as f64) * strict_fraction).round() as usize,
-    }
-}
-
 /// Wakes every worker for shutdown: the posted token has the participate
 /// bit clear, so woken workers check the shutdown flag and exit.
 fn shutdown_workers(shared: &Shared) {
@@ -1560,9 +1472,7 @@ struct WorkerTally {
     overhead_ns: u64,
     /// Sleep before this invocation; `None` for the dispatcher.
     park_ns: Option<u64>,
-    attempts_local: u64,
     attempts_remote: u64,
-    hits_local: u64,
     hits_remote: u64,
 }
 
@@ -1588,16 +1498,14 @@ impl WorkerTally {
             if let Some(ns) = self.park_ns {
                 m.park_ns.record(ns);
             }
-            // Zero tallies stay unflushed: on the common no-steal
-            // invocation this is two RMWs (the local probes), not four.
+            // Zero tallies stay unflushed: the common no-steal invocation
+            // does no RMW here at all.
             let add = |c: &ShardedCounter, n: u64| {
                 if n > 0 {
                     c.add(shard, n);
                 }
             };
-            add(&m.steal_attempts_local, self.attempts_local);
             add(&m.steal_attempts_remote, self.attempts_remote);
-            add(&m.steal_hits_local, self.hits_local);
             add(&m.steal_hits_remote, self.hits_remote);
         }
     }
@@ -1741,9 +1649,7 @@ fn acquire(
     tally: &mut WorkerTally,
 ) -> Option<usize> {
     if let Some(cursor) = *own {
-        tally.attempts_local += 1;
         if let Some(i) = cursor.claim_head() {
-            tally.hits_local += 1;
             return Some(i);
         }
         *own = None;

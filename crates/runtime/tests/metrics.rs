@@ -100,15 +100,14 @@ fn assert_acquisitions_agree(
     assert_eq!(pops + steals, report.tasks_executed(), "{what}: tasks");
     assert_eq!(pops, local, "{what}: local tasks");
     assert_eq!(steals, report.migrations, "{what}: migrations");
-    // Steal-probe accounting: hits never exceed attempts, per scope.
-    for scope in ["local", "remote"] {
-        let hits = counter_of(delta, "ilan_pool_steal_hits", &[("scope", scope)]);
-        let attempts = counter_of(delta, "ilan_pool_steal_attempts", &[("scope", scope)]);
-        assert!(
-            hits <= attempts,
-            "{what} {scope}: {hits} hits out of {attempts} attempts"
-        );
-    }
+    // Remote steal probes: hits never exceed attempts.
+    let scope = [("scope", "remote")];
+    let hits = counter_of(delta, "ilan_pool_steal_hits", &scope);
+    let attempts = counter_of(delta, "ilan_pool_steal_attempts", &scope);
+    assert!(
+        hits <= attempts,
+        "{what}: {hits} remote hits out of {attempts} attempts"
+    );
 }
 
 /// A plan whose only fault is a permanent stall of worker `w`.

@@ -3,8 +3,9 @@
 //!
 //! The tenant mirrors the single-application driver
 //! (`ilan::driver::run_sim_invocation`) on the colocation engine: per
-//! invocation it asks its scheduler for a decision, resolves the active
-//! cores and placement plan, and submits the loop with a serial *lead* —
+//! invocation it asks its scheduler for a decision, submits it as the
+//! loop's placement (a flat or work-sharing decision spans the tenant's
+//! partition) with a serial *lead* —
 //! the decision cost, plus the program's serial section at timestep
 //! boundaries. On completion it feeds the normalized report back into the
 //! scheduler, so the moldability search and steal trial run exactly as they
@@ -12,7 +13,6 @@
 //! whatever the other tenants are doing to the memory system.
 
 use crate::job::JobSpec;
-use ilan::driver::sim_placement;
 use ilan::ptt::Ptt;
 use ilan::{Decision, IlanParams, IlanScheduler, Policy, SiteId, TaskloopReport};
 use ilan_numasim::{ColoMachine, LoopOutcome};
@@ -173,8 +173,6 @@ impl Tenant {
         let site = SiteId::new(site_idx as u64);
         let decision = self.sched.decide(site);
         let tasks = self.app.sites[site_idx].tasks.clone();
-        // Flat / work-sharing decisions span the tenant's partition.
-        let (cores, plan) = sim_placement(&self.topo, &decision, self.partition, tasks.len());
         // The program's serial section runs between timesteps.
         let serial = if idx > 0 && idx.is_multiple_of(self.app.schedule.len()) {
             self.app.serial_ns
@@ -184,7 +182,13 @@ impl Tenant {
         self.serial_lead_ns = serial;
         let lead = self.sched.decision_overhead_ns() + serial;
         if let Some(log) = &mut self.trace {
-            let threads = decision.threads().unwrap_or(cores.count()) as u32;
+            let threads = match decision {
+                Decision::Hierarchical { threads, .. } => threads,
+                // Flat / work-sharing decisions span the tenant's partition.
+                Decision::Flat | Decision::WorkSharing => {
+                    self.topo.cpuset_of_mask(self.partition).count()
+                }
+            } as u32;
             log.push_event(Event {
                 seq: self.trace_seq,
                 worker: DISPATCHER,
@@ -197,7 +201,7 @@ impl Tenant {
             });
             self.trace_seq += 1;
         }
-        machine.start_loop(self.lane, &cores, &plan, tasks, lead);
+        machine.start_loop(self.lane, self.partition, &decision, tasks, lead);
         self.in_flight = Some((site, decision));
     }
 
@@ -220,13 +224,12 @@ impl Tenant {
         let idx = self.next_invocation;
         let site_idx = self.app.schedule[idx % self.app.schedule.len()];
         let tasks = self.app.sites[site_idx].tasks.clone();
-        let (cores, plan) = sim_placement(&self.topo, &decision, self.partition, tasks.len());
         let lead = backoff_ns * 2f64.powi(self.attempt as i32 - 1);
         // Strip the backoff from the eventual recorded time the same way the
         // serial section is stripped: the PTT must see loop time, not the
         // retry policy.
         self.serial_lead_ns = lead;
-        machine.start_loop(self.lane, &cores, &plan, tasks, lead);
+        machine.start_loop(self.lane, self.partition, &decision, tasks, lead);
         self.in_flight = Some((site, decision));
     }
 

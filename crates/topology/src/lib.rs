@@ -5,7 +5,10 @@
 //! hierarchy of **sockets → NUMA nodes → CCDs (last-level-cache groups) → cores**,
 //! exposes the inter-node *distance matrix* (as `numactl --hardware` would), and
 //! provides the small set-algebra types ([`NodeMask`], [`CpuSet`]) that scheduling
-//! policies manipulate.
+//! policies manipulate. Its [`placement`] module holds the taskloop placement
+//! description ([`ExecMode`]) and the rules that resolve it into cores and
+//! per-node chunk ranges; the native runtime and the simulator both execute
+//! from it.
 //!
 //! The scheduler never talks to the operating system directly; everything it needs
 //! to know about the platform is captured by a [`Topology`] value. Topologies come
@@ -40,6 +43,7 @@ pub mod detect;
 pub mod distance;
 pub mod ids;
 pub mod mask;
+pub mod placement;
 pub mod presets;
 pub mod render;
 pub mod spec;
@@ -48,6 +52,7 @@ mod topo;
 pub use distance::DistanceMatrix;
 pub use ids::{CcdId, CoreId, NodeId, SocketId};
 pub use mask::{CpuSet, NodeMask};
+pub use placement::{active_cores, strict_count, ChunkAssignment, ExecMode, StealPolicy};
 pub use render::render_tree;
 pub use spec::parse_spec;
 pub use topo::{CacheSpec, Topology, TopologyBuilder, TopologyError};

@@ -1,6 +1,7 @@
 //! Numerical verification helpers shared by the native kernels.
 
-/// Maximum absolute element-wise difference between two slices.
+/// Maximum absolute element-wise difference between two slices; NaN if
+/// any difference is NaN, so a NaN output never passes a tolerance check.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -9,7 +10,8 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
+        // Unlike `f64::max`, which drops a NaN operand, keep the NaN.
+        .fold(0.0, |m, d| if m.is_nan() || d <= m { m } else { d })
 }
 
 /// Relative L2 error `‖a − b‖ / ‖b‖` (absolute L2 if `b` is zero).
@@ -68,6 +70,15 @@ mod tests {
     fn max_abs_diff_basic() {
         assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.0, 2.5]), 0.5);
         assert_eq!(max_abs_diff(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn max_abs_diff_propagates_nan() {
+        // A NaN anywhere fails every `<= tol` check.
+        assert!(max_abs_diff(&[f64::NAN], &[0.0]).is_nan());
+        assert!(max_abs_diff(&[0.0], &[f64::NAN]).is_nan());
+        assert!(max_abs_diff(&[1.0, f64::NAN, 2.0], &[1.0, 0.0, 9.0]).is_nan());
+        assert!(max_abs_diff(&[1.0, 2.0, f64::NAN], &[1.0, 9.0, 0.0]).is_nan());
     }
 
     #[test]

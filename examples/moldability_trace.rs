@@ -50,13 +50,21 @@ fn main() {
         for k in 1..=14 {
             let (decision, report) =
                 run_sim_invocation(&mut machine, &mut ilan, site, &site_spec.tasks);
-            let threads = decision.threads().unwrap_or(64);
+            let Decision::Hierarchical {
+                threads,
+                mask,
+                policy,
+                ..
+            } = decision
+            else {
+                unreachable!("ILAN decides hierarchically")
+            };
             // Phase *after* the invocation was recorded.
             let phase = format!("{:?}", ilan.phase(site));
             println!(
                 "  k={k:>2} threads={threads:<3} steal={:<6} mask={:<22} time={:>8.2}ms → {phase}",
-                format!("{:?}", decision.steal().unwrap_or(StealPolicy::Strict)),
-                format!("{:?}", decision.mask().unwrap_or(topo.all_nodes())),
+                format!("{policy:?}"),
+                format!("{mask:?}"),
                 report.time_ns / 1e6
             );
             if ilan.settled_decision(site).is_some() && threads == last_threads && k > 6 {

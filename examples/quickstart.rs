@@ -51,9 +51,12 @@ fn native_part() {
                     }
                 }
             });
+        let threads = match decision {
+            Decision::Hierarchical { threads, .. } => threads,
+            Decision::Flat | Decision::WorkSharing => 0,
+        };
         println!(
-            "  iter {iteration}: threads={:<3} time={:>8.3}ms locality={:.2} sum={:.1}",
-            decision.threads().unwrap_or(0),
+            "  iter {iteration}: threads={threads:<3} time={:>8.3}ms locality={:.2} sum={:.1}",
             report.time_ns / 1e6,
             report.locality,
             f64::from_bits(sum_bits.load(Ordering::Acquire)),
@@ -85,16 +88,19 @@ fn simulated_part() {
 
     for k in 1..=10 {
         let (decision, report) = run_sim_invocation(&mut machine, &mut ilan, site, &tasks);
+        let Decision::Hierarchical {
+            threads,
+            mask,
+            policy,
+            ..
+        } = decision
+        else {
+            unreachable!("ILAN decides hierarchically")
+        };
         println!(
-            "  invocation {k:>2}: threads={:<3} mask={:?} steal={:?} time={:>7.2}ms",
-            decision.threads().unwrap_or(64),
-            decision.mask().unwrap_or(topo.all_nodes()),
-            decision.steal().unwrap_or(StealPolicy::Strict),
+            "  invocation {k:>2}: threads={threads:<3} mask={mask:?} steal={policy:?} time={:>7.2}ms",
             report.time_ns / 1e6,
         );
     }
-    println!(
-        "  settled: {:?}",
-        ilan.settled_decision(site).map(|d| d.threads())
-    );
+    println!("  settled: {:?}", ilan.settled_decision(site));
 }

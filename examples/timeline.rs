@@ -12,7 +12,6 @@
 //! fills the tail.
 
 use ilan_suite::prelude::*;
-use ilan_suite::scheduler::driver::{active_cores, build_plan};
 
 fn main() {
     let topo = presets::tiny_2x4();
@@ -30,30 +29,23 @@ fn main() {
             fits_l3: true,
         })
         .collect();
-    let cores = topo.cpuset_of_mask(topo.all_nodes());
-
-    let hier = Decision::Hierarchical {
-        threads: 8,
-        mask: topo.all_nodes(),
-        steal: StealPolicy::Full,
-        strict_fraction: 0.5,
-    };
     let shapes = [
-        ("static work-sharing", PlacementPlan::Static),
-        ("flat work-stealing (baseline)", PlacementPlan::Flat),
+        ("static work-sharing", ExecMode::WorkSharing),
+        ("flat work-stealing (baseline)", ExecMode::Flat),
         (
             "hierarchical + full stealing (ILAN)",
-            build_plan(&hier, tasks.len()),
+            ExecMode::Hierarchical {
+                mask: topo.all_nodes(),
+                threads: 8,
+                strict_fraction: 0.5,
+                policy: StealPolicy::Full,
+            },
         ),
     ];
 
-    for (name, plan) in shapes {
+    for (name, mode) in shapes {
         let mut machine = SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 7);
-        let active = match &plan {
-            PlacementPlan::Hierarchical { .. } => active_cores(&topo, topo.all_nodes(), 8),
-            _ => cores.clone(),
-        };
-        let out = machine.run_taskloop_traced(&active, &plan, &tasks);
+        let out = machine.run_taskloop_traced(topo.all_nodes(), &mode, &tasks);
         println!(
             "== {name} ==  makespan {:.2}ms, locality {:.2}, migrations {}",
             out.makespan_ns / 1e6,

@@ -51,10 +51,10 @@ pub mod prelude {
         SiteRegistry, StealPolicy, TaskloopReport, WorkSharingPolicy,
     };
     pub use ilan_numasim::{
-        Locality, LoopOutcome, MachineParams, NoiseParams, PlacementPlan, SimMachine, TaskSpec,
+        Locality, LoopOutcome, MachineParams, NoiseParams, SimMachine, TaskSpec,
     };
     pub use ilan_runtime::{ExecMode, LoopReport, PinMode, PoolConfig, ThreadPool};
-    pub use ilan_topology::{presets, CoreId, CpuSet, NodeId, NodeMask, Topology};
+    pub use ilan_topology::{presets, ChunkAssignment, CoreId, CpuSet, NodeId, NodeMask, Topology};
     pub use ilan_trace::{audit, AuditExpect, AuditReport, Event, EventKind, EventLog, NodeTally};
     pub use ilan_workloads::{Scale, SimApp, Workload, ALL_WORKLOADS};
 }

@@ -238,7 +238,7 @@ proptest! {
         chunks in 1usize..400,
     ) {
         let mask = NodeMask::from_bits(mask_bits);
-        let a = ilan_suite::runtime::ChunkAssignment::new(mask, chunks);
+        let a = ChunkAssignment::new(mask, chunks);
         let mut counts = vec![0usize; 64];
         let mut last_rank = 0usize;
         for i in 0..chunks {
@@ -310,32 +310,32 @@ proptest! {
         strict_pct in 0usize..=100,
     ) {
         let topo = presets::tiny_2x4();
+        let blocked = ChunkAssignment::new(topo.all_nodes(), chunks);
         let tasks: Vec<TaskSpec> = (0..chunks)
             .map(|i| TaskSpec {
                 compute_ns: 1_000.0 + (i % 7) as f64 * 500.0,
                 mem_bytes: 20_000.0,
-                home_node: NodeId::new(i * 2 / chunks),
+                home_node: blocked.node_of_chunk(i),
                 locality: Locality::Chunked,
                 data_mask: topo.all_nodes(),
                 cache_reuse: 0.2,
                 fits_l3: true,
             })
             .collect();
+        // At least one thread per node.
+        let threads = threads.max(2);
         let decision = Decision::Hierarchical {
             threads,
             mask: topo.all_nodes(),
-            steal: StealPolicy::Full,
             strict_fraction: strict_pct as f64 / 100.0,
+            policy: StealPolicy::Full,
         };
-        let cores = ilan_suite::scheduler::driver::active_cores(
-            &topo, topo.all_nodes(), threads.max(2));
-        let plan = ilan_suite::scheduler::driver::build_plan(&decision, chunks);
         let mut machine =
             SimMachine::new(MachineParams::for_topology(&topo).noiseless(), 0);
-        let out = machine.run_taskloop(&cores, &plan, &tasks);
+        let out = machine.run_taskloop(topo.all_nodes(), &decision, &tasks);
         prop_assert_eq!(out.tasks_executed(), chunks);
         prop_assert!(out.makespan_ns.is_finite() && out.makespan_ns > 0.0);
-        prop_assert!(out.total_busy_ns() <= cores.count() as f64 * out.makespan_ns + 1e-3);
+        prop_assert!(out.total_busy_ns() <= threads as f64 * out.makespan_ns + 1e-3);
     }
 
     /// The native runtime executes every iteration exactly once for random
@@ -400,7 +400,10 @@ proptest! {
         let site = SiteId::new(3);
         for t in &times {
             let d = ilan.decide(site);
-            ilan.record(site, &d, &TaskloopReport::synthetic(*t, d.threads().unwrap()));
+            let Decision::Hierarchical { threads, .. } = d else {
+                panic!("{d:?}")
+            };
+            ilan.record(site, &d, &TaskloopReport::synthetic(*t, threads));
         }
         prop_assert!(
             ilan.settled_decision(site).is_some(),
